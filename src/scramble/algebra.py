@@ -32,6 +32,7 @@ from .operator_space import (
     as_operator,
     gaussian_variates,
     hs_norm,
+    is_finite_real,
     matrix_from_json,
     matrix_to_json,
     nullspace,
@@ -101,7 +102,10 @@ class AlgebraDescriptor:
         kind = obj["kind"]
         if kind not in ALGEBRA_KINDS:
             raise ShapeError(f"unknown algebra kind {kind!r}")
-        params = dict(obj.get("params", {}))
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ShapeError("descriptor 'params' must be an object")
+        params = dict(params)
         if kind == "generators":
             gens = params.get("generators")
             if not isinstance(gens, list) or not gens:
@@ -111,10 +115,12 @@ class AlgebraDescriptor:
             state = params.get("state")
             if not isinstance(state, list) or not state:
                 raise ShapeError("'state' must be a nonempty list of [re, im] pairs")
-            try:
-                psi = np.array([complex(c[0], c[1]) for c in state])
-            except (TypeError, IndexError) as exc:
-                raise ShapeError("'state' entries must be [re, im] pairs") from exc
+            if not all(
+                isinstance(c, (list, tuple)) and len(c) == 2 and all(map(is_finite_real, c))
+                for c in state
+            ):
+                raise ShapeError("'state' entries must be [re, im] pairs of finite numbers")
+            psi = np.array([complex(c[0], c[1]) for c in state])
             params["state"] = psi
             params.setdefault("dim", psi.size)
         return cls(kind, params)
@@ -402,16 +408,28 @@ def block_decomposition(
     return blocks, projections
 
 
+def _positive_int(params: dict, key: str) -> int:
+    """Integer parameter of a named kind; refuses a missing key, bools,
+    strings, fractions and values below 1."""
+    value = params.get(key)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, np.integer))
+        or not float(value).is_integer()
+        or value < 1
+    ):
+        raise ShapeError(f"'{key}' must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
     kind = desc.kind
     params = desc.params
     if kind == "generators":
         return algebra_closure(params["generators"], tol)
     if kind == "factor":
-        da, db = int(params["dim_a"]), int(params["dim_b"])
+        da, db = _positive_int(params, "dim_a"), _positive_int(params, "dim_b")
         side = str(params.get("side", "A")).upper()
-        if da < 1 or db < 1:
-            raise ValidationError("factor dimensions must be positive")
         if side not in ("A", "B"):
             raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
         mats = []
@@ -424,14 +442,10 @@ def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
                 )
         return orthonormalize(mats, tol)
     if kind == "diagonal":
-        d = int(params["dim"])
-        if d < 1:
-            raise ValidationError("dimension must be positive")
+        d = _positive_int(params, "dim")
         return orthonormalize([np.diag(np.eye(d)[i]).astype(complex) for i in range(d)], tol)
     if kind in ("symmetric_swap", "group_z2"):
-        local = int(params["local_dim"])
-        if local < 1:
-            raise ValidationError("local dimension must be positive")
+        local = _positive_int(params, "local_dim")
         s = swap_operator(local)
         span = orthonormalize([np.eye(local * local, dtype=complex), s], tol)
         return commutant(span, tol) if kind == "symmetric_swap" else span

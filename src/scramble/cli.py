@@ -212,6 +212,12 @@ def run_haar(args) -> int:
 
 
 def run_time_average(args) -> int:
+    if args.grid is not None:
+        horizon, points = args.grid
+        if not (np.isfinite(horizon) and horizon > 0):
+            raise ShapeError(f"--grid horizon T must be finite and positive, got {horizon}")
+        if not (points >= 1 and float(points).is_integer()):
+            raise ShapeError(f"--grid point count M must be an integer >= 1, got {points}")
     alg = _load_algebra(args.algebra, args.tol)
     model = hamiltonian_from_json(_load_json(args.hamiltonian))
     if model.matrix.shape[0] != alg.dim:
@@ -237,7 +243,6 @@ def run_time_average(args) -> int:
         report["bound"] = nrc_upper_bound(alg)
         report["witness"] = scrambling_witness(alg, model)
     if args.grid is not None:
-        horizon, points = args.grid
         report["grid_value"] = grid_time_average(alg, model, horizon, int(points))
         report["grid"] = {"horizon": horizon, "points": int(points)}
     _emit_json(report, args.out)

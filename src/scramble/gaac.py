@@ -10,12 +10,12 @@ unitarily evolved image.  ``G`` vanishes exactly when the channel leaves
 both the algebra and its commutant invariant, and is bounded by
 ``min(1 - 1/dim A, 1 - 1/dim A')``.
 
-The two-point sum above is the production route.  Two independent routes,
-an overlap of doubled-space operators and a superprojector distance, are
-exposed as oracles behind a dimension cap, together with closed forms for
-five named physical situations (bipartite averaged OTOC, coherence
-generating power, symmetric-operator and swap-group algebras, and the
-Loschmidt echo).
+The two-point overlap matrix gives both the value and the saturation
+residual.  Two independent routes, an overlap of doubled-space operators and
+a superprojector distance, are exposed as oracles behind a dimension cap,
+together with closed forms for five named physical situations (bipartite
+averaged OTOC, coherence generating power, symmetric-operator and
+swap-group algebras, and the Loschmidt echo).
 """
 
 from __future__ import annotations
@@ -33,14 +33,11 @@ from .algebra import (
 )
 from .errors import ResourceError, ShapeError, ValidationError
 from .operator_space import (
-    ASSERT_TOL,
     as_operator,
-    channel_matrix,
     hs_inner,
     is_unitary,
     permute_factors,
     swap_operator,
-    vec,
 )
 
 CLOSED_FORM_CASES = ("bipartite_otoc", "cgp", "symmetric", "z2", "loschmidt")
@@ -50,17 +47,16 @@ CLOSED_FORM_CASES = ("bipartite_otoc", "cgp", "symmetric", "z2", "loschmidt")
 class GaacReport:
     """Anti-correlator value with its bound, saturation diagnostic and provenance.
 
-    ``saturation_residual`` is ``None`` when the dimension exceeds the
-    superprojector cap; otherwise it is the Hilbert-Schmidt distance of the
-    compressed channel from full depolarization, whose vanishing certifies
-    bound saturation when ``dim A' <= dim A`` (and, by collinearity, with the
-    roles swapped).
+    ``saturation_residual`` is the Hilbert-Schmidt distance of the
+    commutant-compressed channel from full depolarization (see
+    ``saturation_residual``), whose vanishing certifies bound saturation when
+    ``dim A' <= dim A`` (and, by collinearity, with the roles swapped).
     """
 
     value: float
     route: str
     upper_bound: float
-    saturation_residual: float | None
+    saturation_residual: float
     algebra_fingerprint: str
 
 
@@ -102,11 +98,22 @@ def _validate_unitary(u, d: int | None = None) -> np.ndarray:
     return u
 
 
-def _two_point_value(alg: OperatorAlgebra, u: np.ndarray) -> float:
+def _overlaps(alg: OperatorAlgebra, u: np.ndarray) -> np.ndarray:
+    """Overlap matrix ``O_gh = <f_g, U f_h U^dag>`` over the commutant basis."""
     basis = alg.basis_aprime
     evolved = u @ basis @ u.conj().T
-    overlaps = np.einsum("aij,bij->ab", basis.conj(), evolved)
-    return 1.0 - float(np.sum(np.abs(overlaps) ** 2)) / alg.dim_aprime
+    return np.einsum("aij,bij->ab", basis.conj(), evolved)
+
+
+def _two_point_value(overlaps: np.ndarray) -> float:
+    return 1.0 - float(np.sum(np.abs(overlaps) ** 2)) / overlaps.shape[0]
+
+
+def _residual_from_overlaps(alg: OperatorAlgebra, overlaps: np.ndarray) -> float:
+    # 1/sqrt(d) lies in A' and is fixed by Ad_U, so the depolarizer restricted
+    # to A' is the rank-one a a^dag with a_g = <f_g, 1/sqrt(d)>
+    a = np.trace(alg.basis_aprime, axis1=1, axis2=2).conj() / np.sqrt(alg.dim)
+    return float(np.linalg.norm(overlaps - np.outer(a, a.conj())))
 
 
 def upper_bound(alg: OperatorAlgebra) -> float:
@@ -114,42 +121,29 @@ def upper_bound(alg: OperatorAlgebra) -> float:
     return min(1.0 - 1.0 / alg.dim_a, 1.0 - 1.0 / alg.dim_aprime)
 
 
-def saturation_residual(
-    alg: OperatorAlgebra, u, cap: int = SUPERPROJECTOR_CAP
-) -> float:
+def saturation_residual(alg: OperatorAlgebra, u) -> float:
     """Distance of the commutant-compressed channel from full depolarization.
 
     Returns ``|| P U_sup P - T ||_HS`` where ``P`` projects onto the
     commutant and ``T`` sends every operator to ``Tr(X) 1/d``; zero
     certifies saturation of the upper bound when ``dim A' <= dim A``.
+    Computed in the commutant basis, without a superoperator or a dimension
+    cap; its square equals ``dim A' (1 - G) - 1``.
     """
     u = _validate_unitary(u, alg.dim)
-    d = alg.dim
-    if d > cap:
-        raise ResourceError(f"dimension {d} exceeds superprojector cap {cap}")
-    proj = superprojector_matrix(alg.basis_aprime, cap)
-    ident = vec(np.eye(d, dtype=complex))
-    depolarize = np.outer(ident, ident.conj()) / d
-    compressed = proj @ channel_matrix(u) @ proj
-    return float(np.linalg.norm(compressed - depolarize))
+    return _residual_from_overlaps(alg, _overlaps(alg, u))
 
 
-def gaac(
-    alg: OperatorAlgebra, u, cap: int = SUPERPROJECTOR_CAP
-) -> GaacReport:
-    """Anti-correlator of the channel ``X -> U X U^dag`` via the two-point route.
-
-    The saturation residual is attached when the dimension sits under the
-    superprojector cap and omitted (``None``) above it.
-    """
+def gaac(alg: OperatorAlgebra, u) -> GaacReport:
+    """Anti-correlator of the channel ``X -> U X U^dag`` via the two-point route,
+    with the saturation residual read off the same overlap matrix."""
     u = _validate_unitary(u, alg.dim)
-    value = _two_point_value(alg, u)
-    residual = saturation_residual(alg, u, cap) if alg.dim <= cap else None
+    overlaps = _overlaps(alg, u)
     return GaacReport(
-        value=value,
+        value=_two_point_value(overlaps),
         route="two_point",
         upper_bound=upper_bound(alg),
-        saturation_residual=residual,
+        saturation_residual=_residual_from_overlaps(alg, overlaps),
         algebra_fingerprint=alg.fingerprint(),
     )
 

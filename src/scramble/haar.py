@@ -12,7 +12,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, OperatorAlgebra, build_algebra, omega_operators
 from .errors import ResourceError, ValidationError
-from .gaac import SUPERPROJECTOR_CAP, _two_point_value, upper_bound
+from .gaac import SUPERPROJECTOR_CAP, _overlaps, _two_point_value, upper_bound
 from .operator_space import RandomSeed, haar_unitary, hs_inner, swap_operator
 
 
@@ -98,7 +98,7 @@ def haar_average_mc(
 
     def one(i: int) -> float:
         u = haar_unitary(alg.dim, seed.child(i))
-        return _two_point_value(alg, u)
+        return _two_point_value(_overlaps(alg, u))
 
     count = _worker_count(workers)
     if count > 1:

@@ -15,6 +15,7 @@ one reproducible draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -251,6 +252,15 @@ def channel_matrix(u) -> np.ndarray:
     return np.kron(u.conj(), u)
 
 
+def is_finite_real(value) -> bool:
+    """Whether a parsed JSON value is an int or float with a finite double value
+    (``json`` accepts ``NaN`` and ``Infinity``)."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def matrix_to_json(a) -> dict:
     """Matrix as ``{"dim": d, "entries": [[[re, im], ...], ...]}`` (row-major)."""
     a = as_operator(a)
@@ -277,8 +287,8 @@ def matrix_from_json(obj) -> np.ndarray:
             if (
                 not isinstance(cell, (list, tuple))
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
+                or not all(is_finite_real(v) for v in cell)
             ):
-                raise ShapeError(f"entry ({i},{j}) must be a [re, im] pair")
+                raise ShapeError(f"entry ({i},{j}) must be a [re, im] pair of finite numbers")
             out[i, j] = complex(cell[0], cell[1])
     return out

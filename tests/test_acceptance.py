@@ -253,7 +253,7 @@ def test_smoke_dimension_64():
         blocks=BlockStructure(((1, 1),) * d),
     )
     u = haar_unitary(d, RandomSeed(6464))
-    generic = gaac(alg, u, cap=16).value
+    generic = gaac(alg, u).value
     assert abs(generic - closed_form(ClosedFormCase.cgp(d), u)) < 1e-9
     assert generic <= upper_bound(alg) + 1e-8
     assert haar_average_analytic(alg) == pytest.approx(

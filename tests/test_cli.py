@@ -238,3 +238,102 @@ def test_chaos_bell(capsys, bell_file):
 
 def test_dimension_mismatch_is_input_error(bell_file):
     assert main(["time-average", "--algebra", "masa_2", "--hamiltonian", bell_file]) == 2
+
+
+def write_json(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "factor", "params": {"dim_a": "x", "dim_b": 2}},
+        {"kind": "factor", "params": {"dim_a": 2.5, "dim_b": 2}},
+        {"kind": "factor", "params": {"dim_a": True, "dim_b": 2}},
+        {"kind": "factor", "params": {"dim_a": 2}},
+        {"kind": "diagonal", "params": {}},
+        {"kind": "diagonal", "params": {"dim": 0}},
+        {"kind": "symmetric_swap", "params": {"local_dim": "2"}},
+        {"kind": "group_z2", "params": {"local_dim": None}},
+        {"kind": "diagonal", "params": [4]},
+    ],
+    ids=["string", "fraction", "bool", "missing_b", "missing", "zero", "numeric_string",
+         "null", "params_list"],
+)
+def test_descriptor_parameters_are_input_errors(tmp_path, desc):
+    assert main(["inspect", "--algebra", write_json(tmp_path / "desc.json", desc)]) == 2
+
+
+def test_descriptor_integral_float_accepted(capsys, tmp_path):
+    path = write_json(tmp_path / "desc.json", {"kind": "diagonal", "params": {"dim": 3.0}})
+    rc, report = run_json(capsys, ["inspect", "--algebra", path])
+    assert rc == 0
+    assert report["dim"] == 3
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_generator_is_input_error(tmp_path, bad):
+    gen = {"dim": 2, "entries": [[[bad, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    desc = {"kind": "generators", "params": {"generators": [gen]}}
+    assert main(["inspect", "--algebra", write_json(tmp_path / "desc.json", desc)]) == 2
+
+
+def test_non_finite_loschmidt_state_is_input_error(tmp_path):
+    desc = {"kind": "loschmidt", "params": {"state": [[1, 0], [float("nan"), 0]]}}
+    assert main(["inspect", "--algebra", write_json(tmp_path / "desc.json", desc)]) == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"dim": 2, "entries": [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]},
+        {"eigenvalues": [0.0, float("nan")], "eigenvectors": matrix_to_json(np.eye(2))},
+    ],
+    ids=["matrix", "eigenvalues"],
+)
+def test_non_finite_hamiltonian_is_input_error(tmp_path, spec):
+    path = write_json(tmp_path / "h.json", spec)
+    assert main(["time-average", "--algebra", "masa_2", "--hamiltonian", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "grid", [("-1", "10"), ("0", "10"), ("inf", "10"), ("nan", "10"), ("10", "0.5"), ("10", "0")]
+)
+def test_time_average_grid_arguments_checked(bell_file, grid):
+    argv = ["time-average", "--algebra", "bipartite_2x2", "--hamiltonian", bell_file]
+    assert main(argv + ["--grid", *grid]) == 2
+
+
+@pytest.fixture(scope="module")
+def dimension_20_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("d20")
+    desc = {"kind": "factor", "params": {"dim_a": 2, "dim_b": 10}}
+    return (
+        write_json(root / "factor_2x10.json", desc),
+        write_json(root / "gue20.json", {"gue": 20, "seed": 3}),
+    )
+
+
+def test_gaac_dimension_20_reports_residual(capsys, dimension_20_files):
+    desc, _ = dimension_20_files
+    rc, report = run_json(capsys, ["gaac", "--algebra", desc, "--haar", "--seed", "2"])
+    assert rc == 0
+    assert isinstance(report["saturation_residual"], float)
+    kp = report["algebra"]["dim_aprime"]
+    assert report["saturation_residual"] ** 2 == pytest.approx(
+        kp * (1 - report["value"]) - 1, abs=1e-10
+    )
+
+
+def test_time_average_and_chaos_dimension_20(capsys, dimension_20_files):
+    desc, ham = dimension_20_files
+    argv = ["--algebra", desc, "--hamiltonian", ham]
+    rc, report = run_json(capsys, ["time-average", *argv])
+    assert rc == 0
+    assert report["exact_value"] <= report["formula_value"] + 1e-9
+    assert report["formula_value"] <= report["haar_mean"] + 1e-9
+    rc, chaos = run_json(capsys, ["chaos", *argv])
+    assert rc == 0
+    assert chaos["exact_value"] == report["exact_value"]
+    assert chaos["epsilon"] == pytest.approx(1 - chaos["exact_value"] / chaos["haar_mean"])

@@ -245,6 +245,9 @@ def test_matrix_json_roundtrip():
         {"dim": 2, "entries": [[[1, 0], "x"], [[0, 0], [1, 0]]]},  # bad cell
         {"entries": []},
         {"dim": 0, "entries": []},
+        {"dim": 1, "entries": [[[float("nan"), 0]]]},  # json parses NaN
+        {"dim": 1, "entries": [[[1, float("-inf")]]]},  # and -Infinity
+        {"dim": 1, "entries": [[[10**400, 0]]]},  # overflows a double
     ],
 )
 def test_matrix_json_rejects_malformed(bad):
