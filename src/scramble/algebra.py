@@ -67,19 +67,20 @@ class AlgebraDescriptor:
 
     @classmethod
     def factor(cls, dim_a: int, dim_b: int, side: str = "A") -> "AlgebraDescriptor":
-        return cls("factor", {"dim_a": int(dim_a), "dim_b": int(dim_b), "side": side})
+        da, db = _positive_int(dim_a, "dim_a"), _positive_int(dim_b, "dim_b")
+        return cls("factor", {"dim_a": da, "dim_b": db, "side": side})
 
     @classmethod
     def diagonal(cls, dim: int) -> "AlgebraDescriptor":
-        return cls("diagonal", {"dim": int(dim)})
+        return cls("diagonal", {"dim": _positive_int(dim, "dim")})
 
     @classmethod
     def symmetric_swap(cls, local_dim: int) -> "AlgebraDescriptor":
-        return cls("symmetric_swap", {"local_dim": int(local_dim)})
+        return cls("symmetric_swap", {"local_dim": _positive_int(local_dim, "local_dim")})
 
     @classmethod
     def group_z2(cls, local_dim: int) -> "AlgebraDescriptor":
-        return cls("group_z2", {"local_dim": int(local_dim)})
+        return cls("group_z2", {"local_dim": _positive_int(local_dim, "local_dim")})
 
     @classmethod
     def loschmidt(cls, state) -> "AlgebraDescriptor":
@@ -292,24 +293,24 @@ def superprojector_matrix(basis, cap: int = SUPERPROJECTOR_CAP) -> np.ndarray:
 
 
 def _center_basis(basis_a: np.ndarray, basis_ap: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the intersection of the two spans.
+    """Orthonormal basis of the center ``Z = A ∩ A'``, built from the smaller span.
 
-    Joint nullspace of the two orthogonal-complement projectors; their stack
-    always has an O(1) largest singular value (the two spans cannot both be
-    the full operator space), so the relative rank threshold is safe.
+    With ``S`` the smaller of the two bases (``m`` elements), the center is
+    ``coeffs.T · S`` for the nullspace ``coeffs`` of the ``(d^2, m)`` map whose
+    column ``a`` is ``s_a`` minus its projection onto the larger span.  The
+    singular values of that map are the sines of the principal angles between
+    the spans: 0 on ``Z`` and 1 elsewhere for an algebra pair, because
+    ``A ⊖ Z`` is orthogonal to ``A'``.  The result is orthonormal because
+    ``S`` and the coefficient columns are.
     """
-    d = basis_a.shape[-1]
-    va = np.stack([vec(a) for a in basis_a], axis=1)
-    vp = np.stack([vec(f) for f in basis_ap], axis=1)
-    eye = np.eye(d * d)
-    stacked = np.concatenate(
-        [eye - va @ va.conj().T, eye - vp @ vp.conj().T], axis=0
-    )
-    cols = nullspace(stacked, tol)
-    center = np.stack(
-        [cols[:, j].reshape(d, d, order="F") for j in range(cols.shape[1])]
-    ) if cols.shape[1] else np.zeros((0, d, d), dtype=complex)
-    return center
+    small, large = (basis_a, basis_ap) if len(basis_a) <= len(basis_ap) else (basis_ap, basis_a)
+    flat = small.reshape(len(small), -1)
+    other = large.reshape(len(large), -1)
+    outside = flat - (flat @ other.conj().T) @ other
+    # when S lies inside the larger span (an abelian A) the map is pure
+    # rounding, and the floor keeps that noise from passing as non-central
+    coeffs = nullspace(outside.T, tol, scale_floor=1.0)
+    return np.tensordot(coeffs.T, small, axes=1)
 
 
 def _group_eigenvalues(evals: np.ndarray, thresh: float) -> list[np.ndarray]:
@@ -378,7 +379,7 @@ def block_decomposition(
     for cols in groups:
         proj = cols @ cols.conj().T
         size = cols.shape[1]
-        compressed = np.einsum("ij,kjl,lm->kim", proj, basis_a, proj)
+        compressed = proj @ basis_a @ proj
         rank = orthonormalize(compressed, tol).shape[0]
         dj = np.sqrt(rank)
         if abs(dj - round(dj)) > _INTEGER_GUARD:
@@ -408,10 +409,9 @@ def block_decomposition(
     return blocks, projections
 
 
-def _positive_int(params: dict, key: str) -> int:
-    """Integer parameter of a named kind; refuses a missing key, bools,
-    strings, fractions and values below 1."""
-    value = params.get(key)
+def _positive_int(value, key: str) -> int:
+    """Integer parameter ``key`` of a named kind; refuses a missing value
+    (``None``), bools, strings, fractions and values below 1."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float, np.integer))
@@ -428,10 +428,11 @@ def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
     if kind == "generators":
         return algebra_closure(params["generators"], tol)
     if kind == "factor":
-        da, db = _positive_int(params, "dim_a"), _positive_int(params, "dim_b")
+        da = _positive_int(params.get("dim_a"), "dim_a")
+        db = _positive_int(params.get("dim_b"), "dim_b")
         side = str(params.get("side", "A")).upper()
         if side not in ("A", "B"):
-            raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
+            raise ShapeError(f"side must be 'A' or 'B', got {side!r}")
         mats = []
         for i in range(da if side == "A" else db):
             for j in range(da if side == "A" else db):
@@ -442,10 +443,10 @@ def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
                 )
         return orthonormalize(mats, tol)
     if kind == "diagonal":
-        d = _positive_int(params, "dim")
+        d = _positive_int(params.get("dim"), "dim")
         return orthonormalize([np.diag(np.eye(d)[i]).astype(complex) for i in range(d)], tol)
     if kind in ("symmetric_swap", "group_z2"):
-        local = _positive_int(params, "local_dim")
+        local = _positive_int(params.get("local_dim"), "local_dim")
         s = swap_operator(local)
         span = orthonormalize([np.eye(local * local, dtype=complex), s], tol)
         return commutant(span, tol) if kind == "symmetric_swap" else span

@@ -73,9 +73,12 @@ def _algebra_source(value: str):
     raise ShapeError(f"algebra spec {value!r} is neither a file nor a shipped fixture")
 
 
-def _load_algebra(value: str, tol: float | None) -> OperatorAlgebra:
-    desc = AlgebraDescriptor.from_json(_algebra_source(value))
+def _build(desc: AlgebraDescriptor, tol: float | None) -> OperatorAlgebra:
     return build_algebra(desc, tol=tol) if tol is not None else build_algebra(desc)
+
+
+def _load_algebra(value: str, tol: float | None) -> OperatorAlgebra:
+    return _build(AlgebraDescriptor.from_json(_algebra_source(value)), tol)
 
 
 def _jsonable(obj):
@@ -250,7 +253,8 @@ def run_time_average(args) -> int:
 
 
 def run_chaos(args) -> int:
-    alg = _load_algebra(args.algebra, args.tol)
+    desc = AlgebraDescriptor.from_json(_algebra_source(args.algebra))
+    alg = _build(desc, args.tol)
     obj = _load_json(args.hamiltonian)
     model = hamiltonian_from_json(obj)
     if model.matrix.shape[0] != alg.dim:
@@ -264,7 +268,6 @@ def run_chaos(args) -> int:
         "haar_mean": haar_average_analytic(alg),
         "epsilon": chaoticity(alg, model),
     }
-    desc = AlgebraDescriptor.from_json(_algebra_source(args.algebra))
     if desc.kind == "loschmidt":
         report["dephased_purity"] = dephased_state_purity(model, desc.params["state"])
     _emit_json(report, args.out)

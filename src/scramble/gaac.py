@@ -27,6 +27,7 @@ import numpy as np
 from .algebra import (
     SUPERPROJECTOR_CAP,
     OperatorAlgebra,
+    _positive_int,
     omega_operators,
     superprojector_matrix,
     structure_basis,
@@ -69,19 +70,20 @@ class ClosedFormCase:
 
     @classmethod
     def bipartite_otoc(cls, dim_a: int, dim_b: int) -> "ClosedFormCase":
-        return cls("bipartite_otoc", {"dim_a": int(dim_a), "dim_b": int(dim_b)})
+        da, db = _positive_int(dim_a, "dim_a"), _positive_int(dim_b, "dim_b")
+        return cls("bipartite_otoc", {"dim_a": da, "dim_b": db})
 
     @classmethod
     def cgp(cls, dim: int) -> "ClosedFormCase":
-        return cls("cgp", {"dim": int(dim)})
+        return cls("cgp", {"dim": _positive_int(dim, "dim")})
 
     @classmethod
     def symmetric(cls, local_dim: int) -> "ClosedFormCase":
-        return cls("symmetric", {"local_dim": int(local_dim)})
+        return cls("symmetric", {"local_dim": _positive_int(local_dim, "local_dim")})
 
     @classmethod
     def z2(cls, local_dim: int) -> "ClosedFormCase":
-        return cls("z2", {"local_dim": int(local_dim)})
+        return cls("z2", {"local_dim": _positive_int(local_dim, "local_dim")})
 
     @classmethod
     def loschmidt(cls, state) -> "ClosedFormCase":
@@ -99,14 +101,16 @@ def _validate_unitary(u, d: int | None = None) -> np.ndarray:
 
 
 def _overlaps(alg: OperatorAlgebra, u: np.ndarray) -> np.ndarray:
-    """Overlap matrix ``O_gh = <f_g, U f_h U^dag>`` over the commutant basis."""
+    """Overlap matrix ``O_gh = <f_g, U f_h U^dag> = <f_g U, U f_h>`` over the
+    commutant basis, as one (k', d^2) by (d^2, k') product."""
     basis = alg.basis_aprime
-    evolved = u @ basis @ u.conj().T
-    return np.einsum("aij,bij->ab", basis.conj(), evolved)
+    k, d, _ = basis.shape
+    left = (basis.reshape(k * d, d) @ u).reshape(k, -1)
+    return left.conj() @ (u @ basis).reshape(k, -1).T
 
 
 def _two_point_value(overlaps: np.ndarray) -> float:
-    return 1.0 - float(np.sum(np.abs(overlaps) ** 2)) / overlaps.shape[0]
+    return 1.0 - float(np.vdot(overlaps, overlaps).real) / overlaps.shape[0]
 
 
 def _residual_from_overlaps(alg: OperatorAlgebra, overlaps: np.ndarray) -> float:

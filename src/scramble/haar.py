@@ -3,8 +3,6 @@ estimation and concentration scans."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -71,41 +69,23 @@ def haar_twirl_oracle(alg: OperatorAlgebra, cap: int = SUPERPROJECTOR_CAP) -> fl
     return 1.0 - twirled / alg.dim_aprime
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SCRAMBLE_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def haar_average_mc(
-    alg: OperatorAlgebra,
-    n: int,
-    seed: RandomSeed,
-    workers: int | None = None,
-) -> HaarSummary:
+def haar_average_mc(alg: OperatorAlgebra, n: int, seed: RandomSeed) -> HaarSummary:
     """Sample mean and standard deviation of the anti-correlator over ``n``
     independent Haar unitaries.
 
-    Sample ``i`` uses stream ``seed.stream + i``, so results are
-    deterministic for a given seed and independent of the worker count.
+    Sample ``i`` is ``haar_unitary(d, seed.child(i))``, so results are
+    deterministic for a given seed.  Each sample costs one QR of a d x d
+    Ginibre matrix and one (k', d^2) by (d^2, k') overlap product; samples
+    are evaluated one at a time, which keeps memory at one overlap matrix.
     """
     if n < 2:
         raise ValidationError(f"need at least 2 samples, got {n}")
-
-    def one(i: int) -> float:
-        u = haar_unitary(alg.dim, seed.child(i))
-        return _two_point_value(_overlaps(alg, u))
-
-    count = _worker_count(workers)
-    if count > 1:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            values = np.fromiter(pool.map(one, range(n)), dtype=float, count=n)
-    else:
-        values = np.fromiter((one(i) for i in range(n)), dtype=float, count=n)
+    d = alg.dim
+    values = np.fromiter(
+        (_two_point_value(_overlaps(alg, haar_unitary(d, seed.child(i)))) for i in range(n)),
+        dtype=float,
+        count=n,
+    )
     return HaarSummary(
         analytic_mean=haar_average_analytic(alg),
         mc_mean=float(np.mean(values)),
@@ -119,7 +99,6 @@ def concentration_scan(
     descriptors: Iterable[AlgebraDescriptor] | Sequence[AlgebraDescriptor],
     n: int,
     seed: RandomSeed,
-    workers: int | None = None,
 ) -> list[ScanRow]:
     """Monte-Carlo mean, spread and bound gap across a family of algebras.
 
@@ -129,7 +108,7 @@ def concentration_scan(
     rows = []
     for index, desc in enumerate(descriptors):
         alg = build_algebra(desc)
-        summary = haar_average_mc(alg, n, seed.child(index * n), workers=workers)
+        summary = haar_average_mc(alg, n, seed.child(index * n))
         rows.append(
             ScanRow(
                 dim=alg.dim,

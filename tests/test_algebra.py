@@ -339,6 +339,33 @@ def test_descriptor_json_roundtrip():
         assert first.blocks == second.blocks
 
 
+BAD_DIMS = [2.5, 0, -3, True, "3", None]
+
+
+@pytest.mark.parametrize("bad", BAD_DIMS, ids=repr)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: AlgebraDescriptor.factor(v, 2),
+        lambda v: AlgebraDescriptor.factor(2, v),
+        AlgebraDescriptor.diagonal,
+        AlgebraDescriptor.symmetric_swap,
+        AlgebraDescriptor.group_z2,
+    ],
+    ids=["factor_a", "factor_b", "diagonal", "symmetric_swap", "group_z2"],
+)
+def test_descriptor_constructors_refuse_non_positive_integers(make, bad):
+    with pytest.raises(ShapeError):
+        make(bad)
+
+
+def test_descriptor_constructors_accept_integral_values():
+    assert AlgebraDescriptor.factor(np.int64(2), 3.0).params == {
+        "dim_a": 2, "dim_b": 3, "side": "A"
+    }
+    assert type(AlgebraDescriptor.diagonal(np.int32(4)).params["dim"]) is int
+
+
 def test_descriptor_rejects_unknown_kind():
     with pytest.raises(ShapeError):
         AlgebraDescriptor.from_json({"kind": "nonsense", "params": {}})

@@ -257,9 +257,10 @@ def write_json(path, obj) -> str:
         {"kind": "symmetric_swap", "params": {"local_dim": "2"}},
         {"kind": "group_z2", "params": {"local_dim": None}},
         {"kind": "diagonal", "params": [4]},
+        {"kind": "factor", "params": {"dim_a": 2, "dim_b": 2, "side": "C"}},
     ],
     ids=["string", "fraction", "bool", "missing_b", "missing", "zero", "numeric_string",
-         "null", "params_list"],
+         "null", "params_list", "factor_side"],
 )
 def test_descriptor_parameters_are_input_errors(tmp_path, desc):
     assert main(["inspect", "--algebra", write_json(tmp_path / "desc.json", desc)]) == 2

@@ -6,6 +6,7 @@ import pytest
 from scramble import (
     AlgebraDescriptor,
     ClosedFormCase,
+    ShapeError,
     ValidationError,
     bipartite_swap,
     build_algebra,
@@ -200,3 +201,26 @@ def test_bipartite_swap_construction():
     expected[idx(0, 2, 1, 1)] = 1.0
     assert np.allclose(moved, expected)
     assert np.allclose(s_aa @ s_aa, np.eye(36))
+
+
+@pytest.mark.parametrize("bad", [2.5, 0, -3, True, "3", None], ids=repr)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: ClosedFormCase.bipartite_otoc(v, 2),
+        lambda v: ClosedFormCase.bipartite_otoc(2, v),
+        ClosedFormCase.cgp,
+        ClosedFormCase.symmetric,
+        ClosedFormCase.z2,
+    ],
+    ids=["otoc_a", "otoc_b", "cgp", "symmetric", "z2"],
+)
+def test_closed_form_constructors_refuse_non_positive_integers(make, bad):
+    with pytest.raises(ShapeError):
+        make(bad)
+
+
+def test_closed_form_constructor_accepts_integral_float():
+    case = ClosedFormCase.cgp(2.0)
+    assert case.params == {"dim": 2}
+    assert closed_form(case, HADAMARD) == pytest.approx(0.5)

@@ -1,6 +1,7 @@
-"""The spectral-kernel time averages and the overlap-matrix saturation residual
-against their superoperator and per-time-point reference routes, including
-dimensions above the superprojector cap of 16."""
+"""The spectral-kernel time averages, the overlap matrix and its saturation
+residual, and the center basis against their superoperator, contraction,
+projector-stack and per-time-point reference routes, including dimensions
+above the superprojector cap of 16."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from scramble import (
+    RANK_TOL,
     AlgebraDescriptor,
     RandomSeed,
     analyze_hamiltonian,
@@ -22,8 +24,16 @@ from scramble import (
     time_average_nrc,
     upper_bound,
 )
+from scramble.algebra import _center_basis
+from scramble.gaac import _overlaps
 from conftest import planted_generators, unitary
-from oracles import evolution_values, omega_time_average, superprojector_residual
+from oracles import (
+    center_projector_stack,
+    evolution_values,
+    omega_time_average,
+    overlaps_einsum,
+    superprojector_residual,
+)
 
 TOL = 1e-12
 
@@ -75,6 +85,35 @@ def test_fixture_routes_match_oracles(fixture, kind, request):
 def test_planted_routes_match_oracles(d, seed, kind):
     gens, _ = planted_generators(d, 9100 + seed)
     check_routes(build_algebra(AlgebraDescriptor.generators(gens)), kind, 9200 + seed)
+
+
+def subspace_gap(basis, reference) -> float:
+    """Sine of the largest principal angle between two equal-dimensional spans."""
+    flat, ref = basis.reshape(len(basis), -1), reference.reshape(len(reference), -1)
+    return float(np.linalg.norm(flat - (flat @ ref.conj().T) @ ref, 2))
+
+
+def check_center_and_overlaps(alg, seed: int) -> None:
+    center = _center_basis(alg.basis_a, alg.basis_aprime, RANK_TOL)
+    reference = center_projector_stack(alg.basis_a, alg.basis_aprime, RANK_TOL)
+    assert center.shape == reference.shape == (len(alg.blocks.pairs), alg.dim, alg.dim)
+    assert subspace_gap(center, reference) <= TOL
+    flat = center.reshape(center.shape[0], -1)
+    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(center.shape[0]))) <= TOL
+    for stream in range(3):
+        u = unitary(alg.dim, seed, stream)
+        assert np.max(np.abs(_overlaps(alg, u) - overlaps_einsum(alg, u))) <= TOL
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_fixture_center_and_overlaps_match_oracles(fixture, request):
+    check_center_and_overlaps(request.getfixturevalue(fixture), 700 + FIXTURES.index(fixture))
+
+
+@pytest.mark.parametrize("d,seed", PLANTED)
+def test_planted_center_and_overlaps_match_oracles(d, seed):
+    gens, _ = planted_generators(d, 9100 + seed)
+    check_center_and_overlaps(build_algebra(AlgebraDescriptor.generators(gens)), 9300 + seed)
 
 
 def test_fluctuation_scan_uses_exact_mean_above_cap():
