@@ -14,7 +14,6 @@ from .errors import (
     DecompositionError,
     DegeneracyError,
     DomainError,
-    ResourceError,
     ScrambleError,
     ShapeError,
     UndefinedMetricError,
@@ -24,7 +23,6 @@ from .operator_space import (
     ASSERT_TOL,
     RANK_TOL,
     RandomSeed,
-    channel_matrix,
     gaussian_variates,
     ginibre,
     haar_unitary,
@@ -37,29 +35,21 @@ from .operator_space import (
     matrix_to_json,
     nullspace,
     orthonormalize,
-    partial_trace,
     permute_factors,
     swap_operator,
-    unvec,
     vec,
 )
 from .algebra import (
     ALGEBRA_KINDS,
-    SUPERPROJECTOR_CAP,
     AlgebraDescriptor,
     BlockStructure,
-    OmegaPair,
     OperatorAlgebra,
     algebra_closure,
-    block_basis_rotation,
     block_decomposition,
     build_algebra,
     commutant,
     commutant_algebra,
-    omega_operators,
     project_onto,
-    structure_basis,
-    superprojector_matrix,
     verification_residuals,
 )
 from .gaac import (
@@ -69,9 +59,6 @@ from .gaac import (
     bipartite_swap,
     closed_form,
     gaac,
-    gaac_distance_oracle,
-    gaac_omega_oracle,
-    gaac_structure_oracle,
     saturation_residual,
     upper_bound,
 )
@@ -81,7 +68,6 @@ from .haar import (
     concentration_scan,
     haar_average_analytic,
     haar_average_mc,
-    haar_twirl_oracle,
 )
 from .dynamics import (
     FluctuationRow,

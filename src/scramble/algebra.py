@@ -21,7 +21,6 @@ from .errors import (
     ClosureError,
     DecompositionError,
     DegeneracyError,
-    ResourceError,
     ShapeError,
     ValidationError,
 )
@@ -31,6 +30,7 @@ from .operator_space import (
     RandomSeed,
     as_operator,
     gaussian_variates,
+    group_by_gaps,
     hs_norm,
     is_finite_real,
     matrix_from_json,
@@ -38,11 +38,7 @@ from .operator_space import (
     nullspace,
     orthonormalize,
     swap_operator,
-    vec,
 )
-
-#: Default cap on the Hilbert-space dimension for d^2 x d^2 superoperator matrices.
-SUPERPROJECTOR_CAP = 16
 
 #: Module seed for center-witness sampling; fixed so decompositions are
 #: deterministic across runs.
@@ -197,20 +193,6 @@ class OperatorAlgebra:
         return self.blocks.fingerprint()
 
 
-@dataclass(frozen=True, eq=False)
-class OmegaPair:
-    """Doubled-space carriers of the anti-correlator as operator overlaps.
-
-    ``omega_tilde = sum_g f_g (x) f_g^dag`` over an orthonormal commutant
-    basis (basis-independent), and ``omega = S omega_tilde`` where ``S`` is
-    the swap on the doubled space.  Both have squared norm and trace tied to
-    the commutant dimension.
-    """
-
-    omega: np.ndarray
-    omega_tilde: np.ndarray
-
-
 def algebra_closure(generators: Sequence, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the smallest unital *-closed algebra containing
     the generators.
@@ -275,23 +257,6 @@ def project_onto(basis, x) -> np.ndarray:
     return np.einsum("k,kij->ij", coeffs, basis)
 
 
-def superprojector_matrix(basis, cap: int = SUPERPROJECTOR_CAP) -> np.ndarray:
-    """Matrix of ``X -> project_onto(basis, X)`` on the vectorized operator space.
-
-    A hermitian idempotent of side ``d^2`` whose trace equals the basis
-    cardinality; refuses dimensions above ``cap``.
-    """
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 3:
-        raise ShapeError("expected a basis array of shape (k, d, d)")
-    d = basis.shape[-1]
-    if d > cap:
-        raise ResourceError(f"dimension {d} exceeds superprojector cap {cap}")
-    cols = np.stack([vec(b) for b in basis], axis=1) if basis.shape[0] else \
-        np.zeros((d * d, 0), dtype=complex)
-    return cols @ cols.conj().T
-
-
 def _center_basis(basis_a: np.ndarray, basis_ap: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the center ``Z = A ∩ A'``, built from the smaller span.
 
@@ -311,18 +276,6 @@ def _center_basis(basis_a: np.ndarray, basis_ap: np.ndarray, tol: float) -> np.n
     # rounding, and the floor keeps that noise from passing as non-central
     coeffs = nullspace(outside.T, tol, scale_floor=1.0)
     return np.tensordot(coeffs.T, small, axes=1)
-
-
-def _group_eigenvalues(evals: np.ndarray, thresh: float) -> list[np.ndarray]:
-    """Indices of eigenvalues grouped by gaps larger than ``thresh``."""
-    order = np.argsort(evals)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if evals[idx] - evals[groups[-1][-1]] > thresh:
-            groups.append([idx])
-        else:
-            groups[-1].append(idx)
-    return [np.array(g) for g in groups]
 
 
 def block_decomposition(
@@ -365,7 +318,7 @@ def block_decomposition(
         # floor at the RMS eigenvalue scale so a flat spectrum (trivial
         # center) groups rounding noise into a single block
         rms = float(np.linalg.norm(evals)) / np.sqrt(len(evals))
-        candidate = _group_eigenvalues(evals, 1e-8 * max(spread, rms))
+        candidate = group_by_gaps(evals, 1e-8 * max(spread, rms))
         if len(candidate) == z:
             witness = sample
             groups = [(evecs[:, g]) for g in candidate]
@@ -530,124 +483,3 @@ def verification_residuals(alg: OperatorAlgebra) -> dict[str, float]:
             ortho = max(ortho, float(np.max(np.abs(prod - expected))))
     res["projections_orthogonality"] = ortho
     return res
-
-
-def omega_operators(alg: OperatorAlgebra) -> OmegaPair:
-    """Doubled-space operators carrying the anti-correlator (see ``OmegaPair``)."""
-    d = alg.dim
-    omega_tilde = np.zeros((d * d, d * d), dtype=complex)
-    for f in alg.basis_aprime:
-        omega_tilde += np.kron(f, f.conj().T)
-    omega = swap_operator(d) @ omega_tilde
-    return OmegaPair(omega=omega, omega_tilde=omega_tilde)
-
-
-def _restricted(basis: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return np.einsum("ji,kjl,lm->kim", cols.conj(), basis, cols)
-
-
-def _random_hermitian_in_span(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    k = basis.shape[0]
-    coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    m = np.einsum("k,kij->ij", coeffs, basis)
-    return (m + m.conj().T) / 2.0
-
-
-def _factorize_block(
-    a_blk: np.ndarray, b_blk: np.ndarray, n: int, dj: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Unitary on one block mapping it onto ``C^n (x) C^dj`` with the
-    commutant factor first."""
-    size = n * dj
-    if size == 1:
-        return np.ones((1, 1), dtype=complex)
-    for _ in range(20):
-        x = _random_hermitian_in_span(a_blk, rng)
-        zc = _random_hermitian_in_span(b_blk, rng)
-        xe, xv = np.linalg.eigh(x)
-        ze, zv = np.linalg.eigh(zc)
-        xgroups = _group_eigenvalues(xe, 1e-8 * max(float(xe[-1] - xe[0]), 1e-3))
-        zgroups = _group_eigenvalues(ze, 1e-8 * max(float(ze[-1] - ze[0]), 1e-3))
-        if len(xgroups) != dj or any(len(g) != n for g in xgroups):
-            continue
-        if len(zgroups) != n or any(len(g) != dj for g in zgroups):
-            continue
-        xproj = [xv[:, g] @ xv[:, g].conj().T for g in xgroups]
-        zproj = [zv[:, g] @ zv[:, g].conj().T for g in zgroups]
-        start = zproj[0] @ xproj[0]
-        col = start[:, int(np.argmax(np.linalg.norm(start, axis=0)))]
-        if np.linalg.norm(col) < 1e-8:
-            continue
-        e1 = col / np.linalg.norm(col)
-        a_gen = np.einsum(
-            "k,kij->ij", rng.standard_normal(a_blk.shape[0]) + 1j * rng.standard_normal(a_blk.shape[0]), a_blk
-        )
-        b_gen = np.einsum(
-            "k,kij->ij", rng.standard_normal(b_blk.shape[0]) + 1j * rng.standard_normal(b_blk.shape[0]), b_blk
-        )
-        cols = np.zeros((size, size), dtype=complex)
-        ok = True
-        for p in range(n):
-            for i in range(dj):
-                w = zproj[p] @ b_gen @ xproj[i] @ a_gen @ e1
-                norm = np.linalg.norm(w)
-                if norm < 1e-8:
-                    ok = False
-                    break
-                cols[:, p * dj + i] = w / norm
-            if not ok:
-                break
-        if not ok:
-            continue
-        if np.max(np.abs(cols.conj().T @ cols - np.eye(size))) > 1e-8:
-            continue
-        return cols
-    raise DegeneracyError(f"failed to factorize a block of shape ({n}, {dj})")
-
-
-def block_basis_rotation(
-    alg: OperatorAlgebra, seed: RandomSeed | None = None
-) -> tuple[np.ndarray, list[slice]]:
-    """Unitary ``W`` mapping the Hilbert space onto the stacked blocks.
-
-    In the rotated frame each block occupies a contiguous slice and carries
-    the product structure ``C^{n_J} (x) C^{d_J}`` (commutant factor first),
-    so algebra elements become ``1 (x) Y`` and commutant elements ``Z (x) 1``
-    blockwise.  Only needed for cross-checks; the anti-correlator itself
-    never requires it.
-    """
-    base = seed if seed is not None else _WITNESS_SEED.child(1000)
-    key = np.array([np.uint64(base.seed), np.uint64(base.stream)], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    d = alg.dim
-    w = np.zeros((d, d), dtype=complex)
-    slices = []
-    offset = 0
-    for (n, dj), proj in zip(alg.blocks.pairs, alg.center_projections):
-        evals, evecs = np.linalg.eigh(proj)
-        cols = evecs[:, evals > 0.5]
-        a_blk = orthonormalize(_restricted(alg.basis_a, cols), RANK_TOL)
-        b_blk = orthonormalize(_restricted(alg.basis_aprime, cols), RANK_TOL)
-        local = _factorize_block(a_blk, b_blk, n, dj, rng)
-        size = n * dj
-        w[:, offset : offset + size] = cols @ local
-        slices.append(slice(offset, offset + size))
-        offset += size
-    return w, slices
-
-
-def structure_basis(alg: OperatorAlgebra, seed: RandomSeed | None = None) -> np.ndarray:
-    """Orthogonal (not orthonormal) algebra basis ``(1/sqrt d_J) 1_n (x) |l><m|``
-    expressed in the original frame via the block rotation."""
-    w, slices = block_basis_rotation(alg, seed)
-    d = alg.dim
-    mats = []
-    for (n, dj), sl in zip(alg.blocks.pairs, slices):
-        wb = w[:, sl]
-        for l in range(dj):
-            for m in range(dj):
-                unit = np.zeros((dj, dj), dtype=complex)
-                unit[l, m] = 1.0
-                local = np.kron(np.eye(n), unit) / np.sqrt(dj)
-                mats.append(wb @ local @ wb.conj().T)
-    return np.stack(mats)

@@ -42,11 +42,10 @@ from .errors import (
     ClosureError,
     DecompositionError,
     DomainError,
-    ResourceError,
     ShapeError,
     ValidationError,
 )
-from .gaac import SUPERPROJECTOR_CAP, gaac, gaac_distance_oracle, gaac_omega_oracle
+from .gaac import gaac
 from .haar import haar_average_analytic, haar_average_mc
 from .operator_space import RandomSeed, haar_unitary, matrix_from_json
 
@@ -177,11 +176,6 @@ def run_gaac(args) -> int:
         "upper_bound": report_obj.upper_bound,
         "saturation_residual": report_obj.saturation_residual,
     }
-    if alg.dim <= SUPERPROJECTOR_CAP:
-        report["cross_route_residuals"] = {
-            "omega_overlap": abs(report_obj.value - gaac_omega_oracle(alg, u)),
-            "projector_distance": abs(report_obj.value - gaac_distance_oracle(alg, u)),
-        }
     _emit_json(report, args.out)
     return 0
 
@@ -342,7 +336,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DomainError, ResourceError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

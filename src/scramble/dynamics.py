@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorAlgebra, project_onto
+from .algebra import OperatorAlgebra, _positive_int
 from .errors import DomainError, ShapeError, UndefinedMetricError, ValidationError
 from .gaac import upper_bound
 from .haar import haar_average_analytic
@@ -26,6 +26,7 @@ from .operator_space import (
     RandomSeed,
     as_operator,
     ginibre,
+    group_by_gaps,
     hs_norm,
     is_finite_real,
     is_hermitian,
@@ -78,17 +79,6 @@ class FluctuationRow:
     markov_bound: float
 
 
-def _group_by_gaps(values: np.ndarray, thresh: float) -> list[list[int]]:
-    order = np.argsort(values)
-    groups = [[int(order[0])]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] > thresh:
-            groups.append([int(idx)])
-        else:
-            groups[-1].append(int(idx))
-    return groups
-
-
 def analyze_hamiltonian(h, tol_rel: float = RESONANCE_TOL) -> HamiltonianModel:
     """Eigendecompose a hermitian matrix and classify its resonances.
 
@@ -105,12 +95,12 @@ def analyze_hamiltonian(h, tol_rel: float = RESONANCE_TOL) -> HamiltonianModel:
     thresh = tol_rel * spread
 
     degenerate = any(
-        len(g) > 1 for g in _group_by_gaps(evals, thresh)
+        len(g) > 1 for g in group_by_gaps(evals, thresh)
     ) if d > 1 else False
 
     pairs = [(k, hh) for k in range(d) for hh in range(d)]
     sums = np.array([evals[k] + evals[hh] for k, hh in pairs])
-    groups = _group_by_gaps(sums, thresh)
+    groups = group_by_gaps(sums, thresh)
     classes = tuple(tuple(pairs[i] for i in sorted(g)) for g in groups)
 
     if spread > 0:
@@ -263,7 +253,7 @@ def default_horizon(model: HamiltonianModel, factor: float = 200.0) -> float:
     spread = float(evals[-1] - evals[0])
     if spread == 0:
         return 1.0
-    groups = _group_by_gaps(evals, RESONANCE_TOL * spread)
+    groups = group_by_gaps(evals, RESONANCE_TOL * spread)
     reps = np.sort([evals[g[0]] for g in groups])
     if reps.size < 2:
         return 1.0
@@ -275,10 +265,9 @@ def grid_time_average(
 ) -> float:
     """Sampled time average of the anti-correlator at ``t = j*horizon/points``.
 
-    An independent quadrature oracle that converges to the exact
-    infinite-time average as the horizon and point count grow; the ``j = 0``
-    endpoint is excluded since the anti-correlator vanishes there and would
-    bias short averages.
+    A quadrature that converges to the exact infinite-time average as the
+    horizon and point count grow; the ``j = 0`` endpoint is excluded since
+    the anti-correlator vanishes there and would bias short averages.
     """
     return float(np.mean(_kernel_values(_spectral_kernel(alg, model), model, horizon, points)))
 
@@ -294,17 +283,20 @@ def nrc_upper_bound(alg: OperatorAlgebra) -> float:
 def scrambling_witness(alg: OperatorAlgebra, model: HamiltonianModel) -> float:
     """Largest distance of a projected eigenprojector from the maximally
     mixed state, over both sides; zero certifies saturation of the
-    infinite-time bound."""
+    infinite-time bound.
+
+    ``1/d`` lies in both A and A', so ``P(|l><l|) - 1/d`` has coefficients
+    ``conj(<l|f_g|l> - Tr(f_g)/d)`` on an orthonormal basis ``{f_g}``.  Taking
+    the difference entrywise, not as ``r1[l, l] - 1/d``, keeps the result at
+    rounding level when the bound is saturated.
+    """
     if model.matrix.shape[0] != alg.dim:
         raise ShapeError("hamiltonian and algebra dimensions do not match")
-    d = alg.dim
-    v = model.eigenvectors
-    mixed = np.eye(d, dtype=complex) / d
     worst = 0.0
-    for l in range(d):
-        dyad = np.outer(v[:, l], v[:, l].conj())
-        for basis in (alg.basis_aprime, alg.basis_a):
-            worst = max(worst, hs_norm(project_onto(basis, dyad) - mixed))
+    for basis in (alg.basis_aprime, alg.basis_a):
+        diags = np.diagonal(_basis_in_eigenframe(basis, model), axis1=1, axis2=2)
+        traces = np.trace(basis, axis1=1, axis2=2)[:, None] / alg.dim
+        worst = max(worst, float(np.max(np.linalg.norm(diags - traces, axis=0))))
     return worst
 
 
@@ -332,7 +324,7 @@ def dephased_state_purity(model: HamiltonianModel, psi) -> float:
         raise ValidationError("state must be normalized")
     evals = model.eigenvalues
     spread = float(evals[-1] - evals[0])
-    groups = _group_by_gaps(evals, RESONANCE_TOL * spread)
+    groups = group_by_gaps(evals, RESONANCE_TOL * spread)
     rho = np.outer(psi, psi.conj())
     purity = 0.0
     for g in groups:
@@ -385,11 +377,9 @@ def hamiltonian_from_json(obj, tol_rel: float = RESONANCE_TOL) -> HamiltonianMod
     if not isinstance(obj, dict):
         raise ShapeError("hamiltonian spec must be a JSON object")
     if "gue" in obj:
-        d = obj["gue"]
-        if not isinstance(d, int) or d < 1:
-            raise ShapeError(f"'gue' must be a positive integer dimension, got {d!r}")
-        if "seed" not in obj or not isinstance(obj["seed"], int):
-            raise ShapeError("ensemble shorthand requires an integer 'seed'")
+        d = _positive_int(obj["gue"], "gue")
+        if "seed" not in obj:
+            raise ShapeError("ensemble shorthand requires a 'seed'")
         return analyze_hamiltonian(gue_hamiltonian(d, RandomSeed(obj["seed"])), tol_rel)
     if "eigenvalues" in obj:
         evals = obj["eigenvalues"]

@@ -21,10 +21,6 @@ class UndefinedMetricError(DomainError):
     """A normalizing quantity vanishes, leaving the metric undefined."""
 
 
-class ResourceError(ScrambleError, RuntimeError):
-    """A computation exceeds a configured dimension cap."""
-
-
 class DecompositionError(ScrambleError, RuntimeError):
     """Structural decomposition failed; the input is likely not a *-algebra
     at the working tolerance."""

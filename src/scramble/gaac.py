@@ -11,9 +11,7 @@ both the algebra and its commutant invariant, and is bounded by
 ``min(1 - 1/dim A, 1 - 1/dim A')``.
 
 The two-point overlap matrix gives both the value and the saturation
-residual.  Two independent routes, an overlap of doubled-space operators and
-a superprojector distance, are exposed as oracles behind a dimension cap,
-together with closed forms for five named physical situations (bipartite
+residual.  Closed forms cover five named physical situations (bipartite
 averaged OTOC, coherence generating power, symmetric-operator and
 swap-group algebras, and the Loschmidt echo).
 """
@@ -24,15 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    SUPERPROJECTOR_CAP,
-    OperatorAlgebra,
-    _positive_int,
-    omega_operators,
-    superprojector_matrix,
-    structure_basis,
-)
-from .errors import ResourceError, ShapeError, ValidationError
+from .algebra import OperatorAlgebra, _positive_int
+from .errors import ShapeError, ValidationError
 from .operator_space import (
     as_operator,
     hs_inner,
@@ -150,42 +141,6 @@ def gaac(alg: OperatorAlgebra, u) -> GaacReport:
         saturation_residual=_residual_from_overlaps(alg, overlaps),
         algebra_fingerprint=alg.fingerprint(),
     )
-
-
-def gaac_omega_oracle(alg: OperatorAlgebra, u, cap: int = SUPERPROJECTOR_CAP) -> float:
-    """Anti-correlator from the doubled-space overlap
-    ``1 - <Omega, U^(x2) Omega U^(x2)dag> / ||Omega||^2``."""
-    u = _validate_unitary(u, alg.dim)
-    if alg.dim > cap:
-        raise ResourceError(f"dimension {alg.dim} exceeds cap {cap} for doubled-space route")
-    omega = omega_operators(alg).omega
-    doubled = np.kron(u, u)
-    evolved = doubled @ omega @ doubled.conj().T
-    return 1.0 - hs_inner(omega, evolved).real / alg.dim_aprime
-
-
-def gaac_distance_oracle(alg: OperatorAlgebra, u, cap: int = SUPERPROJECTOR_CAP) -> float:
-    """Anti-correlator as the squared, normalized superprojector distance
-    ``||P - P_U||^2 / (2 dim A')``."""
-    u = _validate_unitary(u, alg.dim)
-    proj = superprojector_matrix(alg.basis_aprime, cap)
-    evolved_basis = u @ alg.basis_aprime @ u.conj().T
-    proj_evolved = superprojector_matrix(evolved_basis, cap)
-    return float(np.linalg.norm(proj - proj_evolved) ** 2) / (2.0 * alg.dim_aprime)
-
-
-def gaac_structure_oracle(alg: OperatorAlgebra, u) -> float:
-    """Anti-correlator from the algebra-side two-point sum over the
-    orthogonal structure basis ``(1/sqrt d_J) 1 (x) |l><m|``.
-
-    Requires the explicit block-basis rotation, so this is a cross-check
-    route only.
-    """
-    u = _validate_unitary(u, alg.dim)
-    basis = structure_basis(alg)
-    evolved = u @ basis @ u.conj().T
-    overlaps = np.einsum("aij,bij->ab", basis.conj(), evolved)
-    return 1.0 - float(np.sum(np.abs(overlaps) ** 2)) / alg.dim_aprime
 
 
 def bipartite_swap(dim_a: int, dim_b: int) -> np.ndarray:

@@ -8,10 +8,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, OperatorAlgebra, build_algebra, omega_operators
-from .errors import ResourceError, ValidationError
-from .gaac import SUPERPROJECTOR_CAP, _overlaps, _two_point_value, upper_bound
-from .operator_space import RandomSeed, haar_unitary, hs_inner, swap_operator
+from .algebra import AlgebraDescriptor, OperatorAlgebra, build_algebra
+from .errors import ValidationError
+from .gaac import _overlaps, _two_point_value, upper_bound
+from .operator_space import RandomSeed, haar_unitary
 
 
 @dataclass(frozen=True)
@@ -46,27 +46,6 @@ def haar_average_analytic(alg: OperatorAlgebra) -> float:
         return 0.0
     k = alg.dim_aprime
     return (d * d - k) * (k - 1) / (k * (d * d - 1))
-
-
-def haar_twirl_oracle(alg: OperatorAlgebra, cap: int = SUPERPROJECTOR_CAP) -> float:
-    """Independent route to the Haar mean via the two-term twirl.
-
-    Averaging the doubled channel projects onto the span of the identity and
-    the swap with weights ``1/(d(d+-1))``; the mean anti-correlator follows
-    from the overlaps of the doubled-space carrier with that span.
-    """
-    d = alg.dim
-    if d == 1:
-        return 0.0
-    if d > cap:
-        raise ResourceError(f"dimension {d} exceeds cap {cap} for the twirl oracle")
-    omega = omega_operators(alg).omega
-    t_id = float(np.trace(omega).real)
-    t_swap = hs_inner(swap_operator(d), omega).real
-    twirled = 0.5 * sum(
-        abs(t_id + sign * t_swap) ** 2 / (d * (d + sign)) for sign in (+1, -1)
-    )
-    return 1.0 - twirled / alg.dim_aprime
 
 
 def haar_average_mc(alg: OperatorAlgebra, n: int, seed: RandomSeed) -> HaarSummary:

@@ -4,7 +4,7 @@ Operators are plain complex ``numpy`` arrays of shape ``(d, d)``.  The
 Hilbert-Schmidt scalar product ``<A, B> = Tr(A^dag B)`` makes the operator
 space a d^2-dimensional Hilbert space.  Vectorization is column-stacking
 (Fortran order) throughout, so ``vec(A X B) = kron(B.T, A) @ vec(X)``;
-commutant solving and superoperator matrices depend on this convention.
+commutant solving depends on this convention.
 
 Rank and subspace decisions use the relative singular-value threshold
 ``RANK_TOL``; end-to-end equality checks use the looser ``ASSERT_TOL``.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .errors import ShapeError, ValidationError
 RANK_TOL = 1e-10
 #: Looser tolerance for end-to-end equality assertions.
 ASSERT_TOL = 1e-8
-
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def as_operator(x, name: str = "operator") -> np.ndarray:
@@ -74,42 +72,12 @@ def vec(a) -> np.ndarray:
     return as_operator(a).reshape(-1, order="F")
 
 
-def unvec(v, d: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != d * d:
-        raise ShapeError(f"vector of length {v.size} does not unstack to {d}x{d}")
-    return v.reshape(d, d, order="F")
-
-
-def partial_trace(x, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out the tensor factors of ``x`` not listed in ``keep``.
-
-    ``factor_dims`` gives the dimension of each tensor factor, in order;
-    their product must equal the dimension of ``x``.  Kept factors retain
-    their original order in the result.  The trace is preserved:
-    ``Tr(result) == Tr(x)``.
-    """
-    x = as_operator(x)
-    dims = [int(f) for f in factor_dims]
-    if any(f <= 0 for f in dims):
-        raise ShapeError(f"factor dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != x.shape[0]:
-        raise ShapeError(
-            f"product of factor dims {dims} does not match operator dimension {x.shape[0]}"
-        )
-    kept = sorted(set(int(k) for k in keep))
-    if not kept:
-        raise ShapeError("empty keep set would reduce to a scalar; use the full trace instead")
-    n = len(dims)
-    if kept[0] < 0 or kept[-1] >= n:
-        raise ShapeError(f"keep indices {kept} out of range for {n} factors")
-    tensor = x.reshape(dims + dims)
-    row = list(range(n))
-    col = [n + f if f in kept else f for f in range(n)]
-    out = [f for f in kept] + [n + f for f in kept]
-    reduced = np.einsum(tensor, row + col, out)
-    side = int(np.prod([dims[f] for f in kept]))
-    return reduced.reshape(side, side)
+def group_by_gaps(values: np.ndarray, thresh: float) -> list[np.ndarray]:
+    """Indices of ``values`` in ascending order, split wherever two neighbours
+    differ by more than ``thresh``.  Groups chain, so one group can span more
+    than ``thresh``."""
+    order = np.argsort(values)
+    return np.split(order, np.flatnonzero(np.diff(values[order]) > thresh) + 1)
 
 
 def _stack_vecs(mats: np.ndarray) -> np.ndarray:
@@ -175,14 +143,22 @@ class RandomSeed:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, np.integer))
+                or not 0 <= value < 2**64
+            ):
+                raise ShapeError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
     def child(self, offset: int) -> "RandomSeed":
         return RandomSeed(self.seed, self.stream + offset)
 
 
 def _generator(seed: RandomSeed) -> np.random.Generator:
-    key = np.array(
-        [np.uint64(seed.seed) & _U64, np.uint64(seed.stream) & _U64], dtype=np.uint64
-    )
+    key = np.array([seed.seed, seed.stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -244,12 +220,6 @@ def permute_factors(x, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     axes = list(perm) + [n + p for p in perm]
     total = x.shape[0]
     return x.reshape(dims + dims).transpose(axes).reshape(total, total)
-
-
-def channel_matrix(u) -> np.ndarray:
-    """Matrix of ``X -> U X U^dag`` in the column-stacking convention."""
-    u = as_operator(u)
-    return np.kron(u.conj(), u)
 
 
 def is_finite_real(value) -> bool:

@@ -20,24 +20,26 @@ from scramble import (
     commutant,
     commutant_algebra,
     gaac,
-    gaac_distance_oracle,
-    gaac_omega_oracle,
     grid_time_average,
     haar_average_analytic,
     haar_average_mc,
-    haar_twirl_oracle,
     haar_unitary,
     hs_inner,
     nrc_upper_bound,
     saturation_residual,
     scrambling_witness,
-    superprojector_matrix,
     swap_operator,
     time_average_exact,
     time_average_nrc,
     upper_bound,
 )
 from conftest import BELL_COLUMNS, NRC_SPECTRUM, planted_generators, unitary
+from oracles import (
+    gaac_distance_oracle,
+    gaac_omega_oracle,
+    haar_twirl_oracle,
+    superprojector_matrix,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 

@@ -5,25 +5,27 @@ import pytest
 
 from scramble import (
     AlgebraDescriptor,
-    ResourceError,
     ShapeError,
     ValidationError,
     algebra_closure,
-    block_basis_rotation,
     build_algebra,
     commutant,
     commutant_algebra,
     hs_inner,
     hs_norm,
-    omega_operators,
     orthonormalize,
-    partial_trace,
     project_onto,
-    superprojector_matrix,
     swap_operator,
     verification_residuals,
 )
 from conftest import planted_generators, unitary
+from oracles import (
+    block_basis_rotation,
+    omega_operators,
+    partial_trace,
+    structure_basis,
+    superprojector_matrix,
+)
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -219,12 +221,6 @@ def test_superprojector_masa_trace(masa2):
     assert np.allclose(p, p.conj().T)
 
 
-def test_superprojector_cap():
-    basis = orthonormalize([np.eye(32, dtype=complex)])
-    with pytest.raises(ResourceError):
-        superprojector_matrix(basis)
-
-
 @pytest.mark.parametrize(
     "fixture",
     ["masa2", "masa4", "bipartite22", "z2_local2", "symmetric_local2", "loschmidt4"],
@@ -381,8 +377,6 @@ def test_random_algebra_center_projections_commute_with_both_sides():
 
 
 def test_structure_basis_is_orthogonal_with_block_norms(bipartite22):
-    from scramble import structure_basis
-
     basis = structure_basis(bipartite22)
     assert basis.shape[0] == bipartite22.dim_a
     gram = np.einsum("aij,bij->ab", basis.conj(), basis)

@@ -8,13 +8,15 @@ import pytest
 from scramble import matrix_to_json, swap_operator
 from scramble.cli import main
 from conftest import BELL_COLUMNS
+from oracles import gaac_distance_oracle, gaac_omega_oracle
+
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
 @pytest.fixture()
 def hadamard_file(tmp_path):
     path = tmp_path / "hadamard.json"
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    path.write_text(json.dumps(matrix_to_json(h)))
+    path.write_text(json.dumps(matrix_to_json(HADAMARD)))
     return str(path)
 
 
@@ -68,12 +70,14 @@ def test_inspect_unknown_fixture(capsys):
     assert main(["inspect", "--algebra", "no_such_fixture"]) == 2
 
 
-def test_gaac_hadamard(capsys, hadamard_file):
+def test_gaac_hadamard(capsys, hadamard_file, masa2):
     rc, report = run_json(capsys, ["gaac", "--algebra", "masa_2", "--unitary", hadamard_file])
     assert rc == 0
     assert report["value"] == pytest.approx(0.5, abs=1e-12)
     assert report["upper_bound"] == pytest.approx(0.5)
-    assert max(report["cross_route_residuals"].values()) < 1e-9
+    assert "cross_route_residuals" not in report
+    assert abs(report["value"] - gaac_omega_oracle(masa2, HADAMARD)) < 1e-9
+    assert abs(report["value"] - gaac_distance_oracle(masa2, HADAMARD)) < 1e-9
 
 
 def test_gaac_swap(capsys, swap_file):
@@ -142,6 +146,20 @@ def test_haar_deterministic(tmp_path):
 def test_haar_requires_seed_and_samples():
     assert main(["haar", "--algebra", "masa_2", "--samples", "10"]) == 2
     assert main(["haar", "--algebra", "masa_2", "--seed", "1", "--samples", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaac", "--algebra", "masa_2", "--haar", "--seed", "-1"],
+        ["gaac", "--algebra", "masa_2", "--haar", "--seed", str(2**64)],
+        ["haar", "--algebra", "masa_2", "--seed", "-3", "--samples", "4"],
+    ],
+    ids=["gaac_negative", "gaac_too_large", "haar_negative"],
+)
+def test_bad_seed_is_input_error(capsys, argv):
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_time_average_bell(capsys, bell_file):
@@ -296,6 +314,23 @@ def test_non_finite_loschmidt_state_is_input_error(tmp_path):
 def test_non_finite_hamiltonian_is_input_error(tmp_path, spec):
     path = write_json(tmp_path / "h.json", spec)
     assert main(["time-average", "--algebra", "masa_2", "--hamiltonian", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"gue": 2, "seed": -5},
+        {"gue": True, "seed": 1},
+        {"gue": 2, "seed": False},
+        {"gue": 2, "seed": 1.5},
+        {"gue": 2},
+    ],
+    ids=["negative_seed", "bool_dim", "bool_seed", "float_seed", "missing_seed"],
+)
+def test_gue_shorthand_parameters_are_input_errors(tmp_path, capsys, spec):
+    path = write_json(tmp_path / "h.json", spec)
+    assert main(["time-average", "--algebra", "masa_2", "--hamiltonian", path]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -13,15 +13,13 @@ from scramble import (
     closed_form,
     commutant_algebra,
     gaac,
-    gaac_distance_oracle,
-    gaac_omega_oracle,
-    gaac_structure_oracle,
     hs_inner,
     saturation_residual,
     swap_operator,
     upper_bound,
 )
 from conftest import planted_generators, unitary
+from oracles import gaac_distance_oracle, gaac_omega_oracle, gaac_structure_oracle
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 

@@ -12,10 +12,10 @@ from scramble import (
     gaac,
     haar_average_analytic,
     haar_average_mc,
-    haar_twirl_oracle,
     haar_unitary,
     upper_bound,
 )
+from oracles import haar_twirl_oracle
 
 
 def test_full_algebra_has_zero_mean():

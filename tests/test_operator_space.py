@@ -17,12 +17,11 @@ from scramble import (
     matrix_to_json,
     nullspace,
     orthonormalize,
-    partial_trace,
     permute_factors,
     swap_operator,
-    unvec,
     vec,
 )
+from oracles import partial_trace, unvec
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -176,6 +175,24 @@ def test_haar_unitary_reproducible():
     assert np.array_equal(a, b)
     c = haar_unitary(3, RandomSeed(7, 6))
     assert not np.allclose(a, c)
+
+
+@pytest.mark.parametrize(
+    "seed,stream",
+    [(-1, 0), (2**64, 0), (True, 0), (1.0, 0), ("1", 0), (None, 0), (1, -1), (1, False),
+     (np.int64(-2), 0)],
+    ids=repr,
+)
+def test_random_seed_refuses_non_uint64(seed, stream):
+    with pytest.raises(ShapeError):
+        RandomSeed(seed, stream)
+
+
+def test_random_seed_covers_exactly_uint64():
+    top = RandomSeed(np.uint64(2**64 - 1), 2**64 - 1)
+    assert haar_unitary(2, top).shape == (2, 2)
+    with pytest.raises(ShapeError):
+        RandomSeed(0, 2**64 - 1).child(1)
 
 
 def test_haar_moment_first_entry():

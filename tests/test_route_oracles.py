@@ -1,13 +1,17 @@
 """The spectral-kernel time averages, the overlap matrix and its saturation
-residual, and the center basis against their superoperator, contraction,
-projector-stack and per-time-point reference routes, including dimensions
-above the superprojector cap of 16."""
+residual, the center basis and the scrambling witness against their
+superoperator, contraction, projector-stack and loop reference routes,
+including dimensions above 16."""
 
 from __future__ import annotations
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import scramble
 from scramble import (
     RANK_TOL,
     AlgebraDescriptor,
@@ -20,6 +24,7 @@ from scramble import (
     gue_hamiltonian,
     haar_unitary,
     saturation_residual,
+    scrambling_witness,
     time_average_exact,
     time_average_nrc,
     upper_bound,
@@ -33,6 +38,7 @@ from oracles import (
     omega_time_average,
     overlaps_einsum,
     superprojector_residual,
+    witness_loop,
 )
 
 TOL = 1e-12
@@ -117,8 +123,8 @@ def test_planted_center_and_overlaps_match_oracles(d, seed):
 
 
 def test_fluctuation_scan_uses_exact_mean_above_cap():
-    # above the superprojector cap, on a resonant spectrum where the Gram
-    # formula differs from the exact average
+    # at d = 18, on a resonant spectrum where the Gram formula differs from
+    # the exact average
     alg = build_algebra(AlgebraDescriptor.factor(2, 9))
     model = model_for(alg.dim, "resonant", 1818)
     exact = omega_time_average(alg, model)
@@ -141,3 +147,63 @@ def test_saturation_residual_identity_at_dimension_20():
             kp * (1.0 - report.value) - 1.0, abs=1e-10
         )
         assert abs(report.saturation_residual - superprojector_residual(alg, u)) <= TOL
+
+
+def bell_basis(n: int) -> np.ndarray:
+    """Columns ``sum_j w^(bj) |j, j+a> / sqrt(n)``: maximally entangled on C^n (x) C^n."""
+    cols = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            for j in range(n):
+                cols[j * n + (j + a) % n, a * n + b] = np.exp(2j * np.pi * b * j / n) / np.sqrt(n)
+    return cols
+
+
+def bell_model(n: int):
+    basis = bell_basis(n)
+    levels = np.arange(n * n) + 0.1 * np.arange(n * n) ** 2
+    return analyze_hamiltonian((basis * levels) @ basis.conj().T)
+
+
+def check_witness(alg, model) -> None:
+    assert abs(scrambling_witness(alg, model) - witness_loop(alg, model)) <= TOL
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_fixture_witness_matches_loop(fixture, request):
+    alg = request.getfixturevalue(fixture)
+    check_witness(alg, analyze_hamiltonian(gue_hamiltonian(alg.dim, RandomSeed(800))))
+    if alg.dim == 4:
+        check_witness(alg, bell_model(2))
+
+
+@pytest.mark.parametrize("d,seed", PLANTED)
+def test_planted_witness_matches_loop(d, seed):
+    gens, _ = planted_generators(d, 9100 + seed)
+    alg = build_algebra(AlgebraDescriptor.generators(gens))
+    check_witness(alg, analyze_hamiltonian(gue_hamiltonian(d, RandomSeed(9400 + seed))))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_witness_vanishes_on_bell_spectra(n):
+    # maximally entangled eigenstates saturate the bound, where a form that
+    # subtracts 1/d from a squared norm would lose half the digits
+    alg = build_algebra(AlgebraDescriptor.factor(n, n))
+    model = bell_model(n)
+    check_witness(alg, model)
+    assert scrambling_witness(alg, model) <= TOL
+
+
+def test_package_ships_no_oracles():
+    modules = [scramble] + [
+        importlib.import_module(f"scramble.{info.name}")
+        for info in pkgutil.iter_modules(scramble.__path__)
+    ]
+    assert {"scramble.algebra", "scramble.gaac", "scramble.haar", "scramble.cli"} <= {
+        m.__name__ for m in modules
+    }
+    for module in modules:
+        assert not [name for name in dir(module) if "oracle" in name.lower()], module
+    for name in ("SUPERPROJECTOR_CAP", "ResourceError", "superprojector_matrix",
+                 "omega_operators", "structure_basis"):
+        assert not hasattr(scramble, name), name
