@@ -10,7 +10,6 @@ Hamiltonian dynamics.
 __version__ = "0.1.0"
 
 from .errors import (
-    ClosureError,
     DecompositionError,
     DegeneracyError,
     DomainError,
@@ -85,7 +84,6 @@ from .dynamics import (
     nrc_upper_bound,
     r_matrices,
     scrambling_witness,
-    time_average_collinear,
     time_average_exact,
     time_average_nrc,
 )

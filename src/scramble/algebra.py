@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ClosureError,
     DecompositionError,
     DegeneracyError,
     ShapeError,
@@ -214,10 +213,6 @@ def algebra_closure(generators: Sequence, tol: float = RANK_TOL) -> np.ndarray:
     while True:
         products = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, d, d)
         grown = orthonormalize(np.concatenate([basis, products]), tol)
-        if grown.shape[0] > d * d:
-            raise ClosureError(
-                f"closure rank {grown.shape[0]} exceeds operator-space dimension {d * d}"
-            )
         if grown.shape[0] == basis.shape[0]:
             return grown
         basis = grown

@@ -26,9 +26,7 @@ from .algebra import (
     verification_residuals,
 )
 from .dynamics import (
-    analyze_hamiltonian,
     chaoticity,
-    default_horizon,
     dephased_state_purity,
     evolution,
     grid_time_average,
@@ -39,7 +37,6 @@ from .dynamics import (
     time_average_nrc,
 )
 from .errors import (
-    ClosureError,
     DecompositionError,
     DomainError,
     ShapeError,
@@ -330,7 +327,7 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DecompositionError, ClosureError) as exc:
+    except DecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DECOMPOSITION
     except ValidationError as exc:

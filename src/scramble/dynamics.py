@@ -1,13 +1,15 @@
 """Infinite-time averages of the anti-correlator under Hamiltonian evolution.
 
-For ``U_t = exp(-i H t)`` the infinite-time average of the anti-correlator
-has an exact spectral expression; when the spectrum satisfies the
-non-resonance condition (NRC: non-degenerate eigenvalues with non-degenerate
-gaps) it reduces to a formula in two Gram matrices built from the projected
-eigenprojectors.  Collinear algebra pairs additionally admit an upper bound
-whose saturation is witnessed by the eigenstates being fully scrambled by
-both conditional expectations.  The exact average and the time grids share
-one real spectral kernel.
+For ``U_t = exp(-i H t)`` the anti-correlator, written in the energy
+eigenframe, oscillates only at the gaps ``E_i - E_j``.  Its exact
+infinite-time average therefore keeps one term per class of equal gaps,
+for any spectrum.  When the spectrum satisfies the non-resonance condition
+(NRC: non-degenerate eigenvalues with non-degenerate gaps) it reduces to a
+formula in two Gram matrices built from the projected eigenprojectors.
+Collinear algebra pairs additionally admit an upper bound whose saturation
+is witnessed by the eigenstates being fully scrambled by both conditional
+expectations.  Only the time grids build the real ``d^2 x d^2`` spectral
+kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .operator_space import (
     matrix_from_json,
 )
 
-#: Relative tolerance for grouping eigenvalue pair sums into resonance classes.
+#: Relative tolerance for grouping eigenvalues and gaps.
 RESONANCE_TOL = 1e-9
 #: Relative gaps in (RESONANCE_TOL, NEAR_RESONANCE_TOL] trigger a warning,
 #: since the infinite-time limit is discontinuous across a resonance.
@@ -44,16 +46,17 @@ NEAR_RESONANCE_TOL = 1e-6
 class HamiltonianModel:
     """Hermitian generator with its spectral data and resonance structure.
 
-    ``resonance_classes`` partitions the ordered eigenstate index pairs
-    ``(k, h)`` by the value ``E_k + E_h`` at the grouping tolerance; ``nrc``
-    is set when every class is ``{(k, h), (h, k)}`` or a diagonal singleton,
-    which requires a non-degenerate spectrum with non-degenerate gaps.
+    ``resonance_classes`` partitions the flat eigenstate index pairs
+    ``i*d + j`` by the gap ``E_i - E_j`` at the grouping tolerance, one index
+    array per class in ascending order of the gap.  ``nrc`` is set when the
+    spectrum is non-degenerate and every nonzero gap is alone in its class,
+    so there are ``d^2 - d + 1`` classes.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    resonance_classes: tuple[tuple[tuple[int, int], ...], ...]
+    resonance_classes: tuple[np.ndarray, ...]
     nrc: bool
     degenerate: bool
 
@@ -79,12 +82,14 @@ class FluctuationRow:
     markov_bound: float
 
 
-def analyze_hamiltonian(h, tol_rel: float = RESONANCE_TOL) -> HamiltonianModel:
-    """Eigendecompose a hermitian matrix and classify its resonances.
+def analyze_hamiltonian(h) -> HamiltonianModel:
+    """Eigendecompose a hermitian matrix and group its gaps into classes.
 
-    Pair sums ``E_k + E_h`` are grouped at ``tol_rel * (E_max - E_min)``.
-    Near-resonant gaps just above the grouping tolerance are reported with a
-    warning because the infinite-time average is discontinuous there.
+    Eigenvalues and the ``d^2`` gaps ``E_i - E_j`` are grouped at
+    ``RESONANCE_TOL * (E_max - E_min)``.  Neighbouring gap classes closer
+    than ``NEAR_RESONANCE_TOL`` of that range are reported with a warning,
+    counting each ``(w, -w)`` pair once, because the infinite-time average is
+    discontinuous there.
     """
     h = as_operator(h, "hamiltonian")
     if not is_hermitian(h):
@@ -92,33 +97,27 @@ def analyze_hamiltonian(h, tol_rel: float = RESONANCE_TOL) -> HamiltonianModel:
     evals, evecs = np.linalg.eigh(h)
     d = h.shape[0]
     spread = float(evals[-1] - evals[0])
-    thresh = tol_rel * spread
+    thresh = RESONANCE_TOL * spread
+    degenerate = len(group_by_gaps(evals, thresh)) < d
 
-    degenerate = any(
-        len(g) > 1 for g in group_by_gaps(evals, thresh)
-    ) if d > 1 else False
-
-    pairs = [(k, hh) for k in range(d) for hh in range(d)]
-    sums = np.array([evals[k] + evals[hh] for k, hh in pairs])
-    groups = group_by_gaps(sums, thresh)
-    classes = tuple(tuple(pairs[i] for i in sorted(g)) for g in groups)
+    gaps = np.subtract.outer(evals, evals).ravel()
+    classes = tuple(group_by_gaps(gaps, thresh))
 
     if spread > 0:
-        reps = np.sort([sums[g[0]] for g in groups])
-        gaps = np.diff(reps) / spread
-        near = gaps[(gaps > tol_rel) & (gaps <= NEAR_RESONANCE_TOL)]
+        # classes come in ascending order and mirror under w -> -w; the top
+        # member of the zero class is >= 0 even when that class is widened
+        reps = gaps[[c[-1] for c in classes]]
+        steps = np.diff(reps[reps >= 0]) / spread
+        near = steps[(steps > RESONANCE_TOL) & (steps <= NEAR_RESONANCE_TOL)]
         if near.size:
             warnings.warn(
-              f"{near.size} near-resonant gap(s) within ({tol_rel:g}, {NEAR_RESONANCE_TOL:g}] "
+                f"{near.size} near-resonant gap(s) within "
+                f"({RESONANCE_TOL:g}, {NEAR_RESONANCE_TOL:g}] "
                 "of the spectral range; the infinite-time average is unstable there",
                 stacklevel=2,
             )
 
-    nrc = not degenerate and all(
-        (len(c) == 1 and c[0][0] == c[0][1])
-        or (len(c) == 2 and c[0] == (c[1][1], c[1][0]))
-        for c in classes
-    )
+    nrc = not degenerate and len(classes) == d * d - d + 1
     return HamiltonianModel(
         matrix=h,
         eigenvalues=evals,
@@ -130,14 +129,10 @@ def analyze_hamiltonian(h, tol_rel: float = RESONANCE_TOL) -> HamiltonianModel:
 
 
 def _basis_in_eigenframe(basis: np.ndarray, model: HamiltonianModel) -> np.ndarray:
+    if basis.shape[-1] != model.matrix.shape[0]:
+        raise ShapeError("hamiltonian and algebra dimensions do not match")
     v = model.eigenvectors
     return v.conj().T @ basis @ v
-
-
-def _r1_for_basis(basis: np.ndarray, model: HamiltonianModel) -> np.ndarray:
-    rotated = _basis_in_eigenframe(basis, model)
-    diags = np.diagonal(rotated, axis1=1, axis2=2)  # (k_basis, d)
-    return np.einsum("gl,gk->lk", diags, diags.conj()).real
 
 
 def r_matrices(alg: OperatorAlgebra, model: HamiltonianModel) -> RMatrices:
@@ -146,11 +141,10 @@ def r_matrices(alg: OperatorAlgebra, model: HamiltonianModel) -> RMatrices:
     For degenerate spectra these depend on the eigenbasis chosen inside each
     degenerate subspace; the exact spectral route is authoritative there.
     """
-    if model.matrix.shape[0] != alg.dim:
-        raise ShapeError("hamiltonian and algebra dimensions do not match")
     rotated = _basis_in_eigenframe(alg.basis_aprime, model)
     r0 = np.einsum("glk,glk->lk", rotated, rotated.conj()).real
-    r1 = _r1_for_basis(alg.basis_aprime, model)
+    diags = np.diagonal(rotated, axis1=1, axis2=2)  # (dim A', d)
+    r1 = np.einsum("gl,gk->lk", diags, diags.conj()).real
     return RMatrices(r0=r0, r1=r1)
 
 
@@ -167,35 +161,21 @@ def time_average_nrc(alg: OperatorAlgebra, model: HamiltonianModel) -> float:
     return 1.0 - total / alg.dim_aprime
 
 
-def _spectral_kernel(alg: OperatorAlgebra, model: HamiltonianModel) -> np.ndarray:
-    """Real ``d^2 x d^2`` kernel ``K = |M^dag M|^2 / dim A'`` (entrywise), with
-    the rows of ``M`` the commutant basis in the energy eigenframe, flattened."""
-    if model.matrix.shape[0] != alg.dim:
-        raise ShapeError("hamiltonian and algebra dimensions do not match")
-    m = _basis_in_eigenframe(alg.basis_aprime, model).reshape(alg.dim_aprime, -1)
-    return np.abs(m.conj().T @ m) ** 2 / alg.dim_aprime
-
-
-def _kernel_time_average(kernel: np.ndarray, model: HamiltonianModel) -> float:
-    # K[ij, kl] carries the phase exp(-i (E_i + E_l - E_k - E_j) t), which
-    # survives the average exactly when (i, l) and (k, j) share a class
-    d = model.eigenvalues.size
-    label = np.empty((d, d), dtype=np.intp)
-    for c, cls in enumerate(model.resonance_classes):
-        label[tuple(np.array(cls).T)] = c
-    same = label[:, None, None, :] == label.T[None, :, :, None]
-    return 1.0 - float(np.sum(kernel.reshape(d, d, d, d), where=same))
-
-
-def _kernel_values(
-    kernel: np.ndarray, model: HamiltonianModel, horizon: float, points: int
+def _grid_values(
+    alg: OperatorAlgebra, model: HamiltonianModel, horizon: float, points: int
 ) -> np.ndarray:
     """``G(U_t) = 1 - <phi_t, K phi_t>`` with ``(phi_t)_ij = exp(-i (E_i - E_j) t)``
-    at ``t = j*horizon/points``, ``j = 1..points``, in chunks of about 2^20 phases."""
+    at ``t = j*horizon/points``, ``j = 1..points``, in chunks of about 2^20 phases.
+
+    ``K = |M^dag M|^2 / dim A'`` (entrywise) is the real ``d^2 x d^2`` spectral
+    kernel, with the rows of ``M`` the commutant basis in the energy
+    eigenframe, flattened."""
     if horizon <= 0:
         raise ValidationError(f"horizon must be positive, got {horizon}")
     if points < 1:
         raise ValidationError(f"need at least one grid point, got {points}")
+    m = _basis_in_eigenframe(alg.basis_aprime, model).reshape(alg.dim_aprime, -1)
+    kernel = np.abs(m.conj().T @ m) ** 2 / alg.dim_aprime
     times = horizon * np.arange(1, points + 1) / points
     gaps = np.subtract.outer(model.eigenvalues, model.eigenvalues).ravel()
     chunk = max(1, 2**20 // gaps.size)
@@ -211,33 +191,25 @@ def _kernel_values(
 def time_average_exact(alg: OperatorAlgebra, model: HamiltonianModel) -> float:
     """Exact infinite-time average for any spectrum, degenerate or resonant.
 
-    Sums the spectral kernel within ``model.resonance_classes``; whole classes
-    make the result independent of the eigenbasis inside degenerate
-    eigenspaces.  ``O(dim A' d^4)`` time, ``O(d^4)`` memory, no dimension cap.
+    ``1 - sum_w ||M_w^dag M_w||_F^2 / dim A'``, where the columns of ``M_w``
+    are the entries ``ij`` of the commutant basis, in the energy eigenframe,
+    whose gap lies in the class ``w`` of ``model.resonance_classes``.  Whole
+    classes make the result independent of the eigenbasis inside degenerate
+    eigenspaces.  ``O(dim A' d^2)`` memory; a class of ``n`` members costs
+    ``O(dim A' n min(n, dim A'))`` time, so an NRC spectrum costs
+    ``O(dim A' d^2)``.  No ``d^2 x d^2`` array is formed.
     """
-    return _kernel_time_average(_spectral_kernel(alg, model), model)
-
-
-def time_average_collinear(
-    alg: OperatorAlgebra, model: HamiltonianModel, swap_roles: bool = False
-) -> float:
-    """Symmetric form of the formula value for collinear pairs.
-
-    The two bistochastic-Gram terms weigh the algebra and commutant sides
-    symmetrically; ``swap_roles`` moves the diagonal correction to the other
-    side, which must not change the value.
-    """
-    if not alg.blocks.collinear:
-        raise DomainError("collinear form requires a collinear algebra pair")
-    r1_ap = _r1_for_basis(alg.basis_aprime, model)
-    r1_a = _r1_for_basis(alg.basis_a, model)
-    ka, kp = alg.dim_a, alg.dim_aprime
-    diag = (
-        float(np.sum(np.diagonal(r1_a) ** 2)) / ka
-        if swap_roles
-        else float(np.sum(np.diagonal(r1_ap) ** 2)) / kp
-    )
-    return 1.0 - float(np.sum(r1_a**2)) / ka - float(np.sum(r1_ap**2)) / kp + diag
+    m = _basis_in_eigenframe(alg.basis_aprime, model).reshape(alg.dim_aprime, -1)
+    classes = model.resonance_classes
+    # a singleton class {ij} contributes (sum_g |M_g[ij]|^2)^2
+    singles = [c[0] for c in classes if c.size == 1]
+    total = float(np.sum(np.sum(np.abs(m[:, singles]) ** 2, axis=0) ** 2))
+    for c in classes:
+        if c.size > 1:
+            sub = m[:, c]
+            gram = sub @ sub.conj().T if c.size > sub.shape[0] else sub.conj().T @ sub
+            total += float(np.sum(np.abs(gram) ** 2))
+    return 1.0 - total / alg.dim_aprime
 
 
 def evolution(model: HamiltonianModel, t: float) -> np.ndarray:
@@ -247,8 +219,8 @@ def evolution(model: HamiltonianModel, t: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def default_horizon(model: HamiltonianModel, factor: float = 200.0) -> float:
-    """``factor / (smallest distinct eigenvalue gap)``, or 1 for flat spectra."""
+def default_horizon(model: HamiltonianModel) -> float:
+    """``200 / (smallest distinct eigenvalue gap)``, or 1 for flat spectra."""
     evals = model.eigenvalues
     spread = float(evals[-1] - evals[0])
     if spread == 0:
@@ -257,7 +229,7 @@ def default_horizon(model: HamiltonianModel, factor: float = 200.0) -> float:
     reps = np.sort([evals[g[0]] for g in groups])
     if reps.size < 2:
         return 1.0
-    return factor / float(np.min(np.diff(reps)))
+    return 200.0 / float(np.min(np.diff(reps)))
 
 
 def grid_time_average(
@@ -269,7 +241,7 @@ def grid_time_average(
     horizon and point count grow; the ``j = 0`` endpoint is excluded since
     the anti-correlator vanishes there and would bias short averages.
     """
-    return float(np.mean(_kernel_values(_spectral_kernel(alg, model), model, horizon, points)))
+    return float(np.mean(_grid_values(alg, model, horizon, points)))
 
 
 def nrc_upper_bound(alg: OperatorAlgebra) -> float:
@@ -290,8 +262,6 @@ def scrambling_witness(alg: OperatorAlgebra, model: HamiltonianModel) -> float:
     the difference entrywise, not as ``r1[l, l] - 1/d``, keeps the result at
     rounding level when the bound is saturated.
     """
-    if model.matrix.shape[0] != alg.dim:
-        raise ShapeError("hamiltonian and algebra dimensions do not match")
     worst = 0.0
     for basis in (alg.basis_aprime, alg.basis_a):
         diags = np.diagonal(_basis_in_eigenframe(basis, model), axis1=1, axis2=2)
@@ -350,10 +320,9 @@ def fluctuation_scan(
     if not alg.blocks.collinear:
         raise DomainError("fluctuation bounds are derived for collinear pairs only")
     gub = upper_bound(alg)
-    kernel = _spectral_kernel(alg, model)
-    mean = _kernel_time_average(kernel, model)
+    mean = time_average_exact(alg, model)
     span = horizon if horizon is not None else default_horizon(model)
-    values = _kernel_values(kernel, model, span, points)
+    values = _grid_values(alg, model, span, points)
     rows = []
     for eps in epsilons:
         eps = float(eps)
@@ -370,7 +339,7 @@ def gue_hamiltonian(d: int, seed: RandomSeed) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def hamiltonian_from_json(obj, tol_rel: float = RESONANCE_TOL) -> HamiltonianModel:
+def hamiltonian_from_json(obj) -> HamiltonianModel:
     """Parse a Hamiltonian spec: a full hermitian matrix, an
     eigenvalue/eigenvector pair, or the ensemble shorthand
     ``{"gue": d, "seed": s}``."""
@@ -380,7 +349,7 @@ def hamiltonian_from_json(obj, tol_rel: float = RESONANCE_TOL) -> HamiltonianMod
         d = _positive_int(obj["gue"], "gue")
         if "seed" not in obj:
             raise ShapeError("ensemble shorthand requires a 'seed'")
-        return analyze_hamiltonian(gue_hamiltonian(d, RandomSeed(obj["seed"])), tol_rel)
+        return analyze_hamiltonian(gue_hamiltonian(d, RandomSeed(obj["seed"])))
     if "eigenvalues" in obj:
         evals = obj["eigenvalues"]
         if not isinstance(evals, list) or not all(is_finite_real(e) for e in evals):
@@ -393,5 +362,5 @@ def hamiltonian_from_json(obj, tol_rel: float = RESONANCE_TOL) -> HamiltonianMod
         if np.max(np.abs(vmat.conj().T @ vmat - np.eye(len(evals)))) > ASSERT_TOL:
             raise ValidationError("'eigenvectors' matrix is not unitary at tolerance")
         h = (vmat * np.asarray(evals, dtype=float)) @ vmat.conj().T
-        return analyze_hamiltonian(h, tol_rel)
-    return analyze_hamiltonian(matrix_from_json(obj), tol_rel)
+        return analyze_hamiltonian(h)
+    return analyze_hamiltonian(matrix_from_json(obj))

@@ -28,7 +28,3 @@ class DecompositionError(ScrambleError, RuntimeError):
 
 class DegeneracyError(DecompositionError):
     """Random witness sampling failed to separate structure after bounded retries."""
-
-
-class ClosureError(ScrambleError, RuntimeError):
-    """Span closure exceeded the dimension of the full operator space."""

@@ -3,8 +3,9 @@
 
 Each oracle computes its quantity the long way, through a d^2 x d^2
 superoperator, a doubled-space carrier, an explicit block frame, a projector
-stack, an elementwise contraction or a per-time-point loop, independently of
-the production route it checks.  None of them has a dimension cap; the
+stack, an elementwise contraction, a per-time-point loop, a pair-sum
+grouping of the spectrum or a second algebraic form, independently of the
+production route it checks.  None of them has a dimension cap; the
 superoperator and doubled-space routes hold d^4 complex numbers, so callers
 keep d small.
 """
@@ -28,7 +29,8 @@ from scramble import (
     swap_operator,
     vec,
 )
-from scramble.errors import DegeneracyError, ShapeError
+from scramble.dynamics import RESONANCE_TOL
+from scramble.errors import DegeneracyError, DomainError, ShapeError
 from scramble.operator_space import as_operator, group_by_gaps
 
 #: Philox key of the block-frame draws; fixed so the rotation is reproducible.
@@ -310,18 +312,80 @@ def center_projector_stack(basis_a, basis_ap, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------- dynamics
 
 
+def pair_sum_classes(model) -> list[np.ndarray]:
+    """Flat indices ``k*d + h`` grouped by the pair sum ``E_k + E_h`` at the
+    production grouping threshold.  ``E_i + E_l = E_k + E_j`` exactly when
+    ``E_i - E_j = E_k - E_l``, so these are the gap classes found another way."""
+    evals = model.eigenvalues
+    sums = np.add.outer(evals, evals).ravel()
+    return group_by_gaps(sums, RESONANCE_TOL * float(evals[-1] - evals[0]))
+
+
+def pair_sum_nrc(model) -> bool:
+    """NRC from the pair-sum classes: every class is ``{(k, h), (h, k)}`` or
+    a diagonal singleton, on a non-degenerate spectrum."""
+    d = model.eigenvalues.size
+    pairs = [sorted(divmod(int(i), d) for i in c) for c in pair_sum_classes(model)]
+    return not model.degenerate and all(
+        (len(c) == 1 and c[0][0] == c[0][1]) or (len(c) == 2 and c[0] == c[1][::-1])
+        for c in pairs
+    )
+
+
 def omega_time_average(alg, model) -> float:
     """Exact infinite-time average from the doubled-space carrier: rotate
     ``Omega`` into the doubled eigenbasis and sum its squared entries inside
-    each resonance class."""
-    d = alg.dim
+    each pair-sum class."""
     w = np.kron(model.eigenvectors, model.eigenvectors)
     rotated = w.conj().T @ omega_operators(alg).omega @ w
     total = 0.0
-    for cls in model.resonance_classes:
-        idx = np.array([k * d + h for k, h in cls])
+    for idx in pair_sum_classes(model):
         total += float(np.sum(np.abs(rotated[np.ix_(idx, idx)]) ** 2))
     return 1.0 - total / alg.dim_aprime
+
+
+def kernel_time_average(alg, model) -> float:
+    """Exact infinite-time average from the real ``d^2 x d^2`` kernel
+    ``K = |M^dag M|^2 / dim A'``, summed where ``(i, l)`` and ``(k, j)`` share a
+    pair-sum class."""
+    d = alg.dim
+    v = model.eigenvectors
+    m = (v.conj().T @ alg.basis_aprime @ v).reshape(alg.dim_aprime, -1)
+    kernel = np.abs(m.conj().T @ m) ** 2 / alg.dim_aprime
+    # K[ij, kl] carries the phase exp(-i (E_i + E_l - E_k - E_j) t), which
+    # survives the average exactly when (i, l) and (k, j) share a class
+    label = np.empty(d * d, dtype=np.intp)
+    for c, idx in enumerate(pair_sum_classes(model)):
+        label[idx] = c
+    label = label.reshape(d, d)
+    same = label[:, None, None, :] == label.T[None, :, :, None]
+    return 1.0 - float(np.sum(kernel.reshape(d, d, d, d), where=same))
+
+
+def _r1(basis, model) -> np.ndarray:
+    v = model.eigenvectors
+    diags = np.diagonal(v.conj().T @ basis @ v, axis1=1, axis2=2)
+    return np.einsum("gl,gk->lk", diags, diags.conj()).real
+
+
+def time_average_collinear(alg, model, swap_roles: bool = False) -> float:
+    """Symmetric form of the NRC formula value for collinear pairs.
+
+    The two bistochastic-Gram terms weigh the algebra and commutant sides
+    symmetrically; ``swap_roles`` moves the diagonal correction to the other
+    side, which must not change the value.
+    """
+    if not alg.blocks.collinear:
+        raise DomainError("collinear form requires a collinear algebra pair")
+    r1_ap = _r1(alg.basis_aprime, model)
+    r1_a = _r1(alg.basis_a, model)
+    ka, kp = alg.dim_a, alg.dim_aprime
+    diag = (
+        float(np.sum(np.diagonal(r1_a) ** 2)) / ka
+        if swap_roles
+        else float(np.sum(np.diagonal(r1_ap) ** 2)) / kp
+    )
+    return 1.0 - float(np.sum(r1_a**2)) / ka - float(np.sum(r1_ap**2)) / kp + diag
 
 
 def evolution_values(alg, model, horizon: float, points: int) -> np.ndarray:

@@ -3,6 +3,8 @@ pass line per criterion (run with ``pytest -s`` to see them inline)."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from scramble import (
     commutant_algebra,
     gaac,
     grid_time_average,
+    gue_hamiltonian,
     haar_average_analytic,
     haar_average_mc,
     haar_unitary,
@@ -261,3 +264,17 @@ def test_smoke_dimension_64():
     assert haar_average_analytic(alg) == pytest.approx(
         (d * d - d) * (d - 1) / (d * (d * d - 1))
     )
+    # the exact infinite-time average works gap class by gap class: a d^2 x d^2
+    # kernel alone would be 134 MB here
+    model = analyze_hamiltonian(gue_hamiltonian(d, RandomSeed(6464)))
+    assert model.nrc
+    tracemalloc.start()
+    try:
+        exact = time_average_exact(alg, model)
+        chaos = chaoticity(alg, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert abs(exact - time_average_nrc(alg, model)) < 1e-12
+    assert chaos == pytest.approx(1.0 - exact / haar_average_analytic(alg), abs=1e-12)

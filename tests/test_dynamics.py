@@ -16,7 +16,6 @@ from scramble import (
     dephased_state_purity,
     evolution,
     fluctuation_scan,
-    gaac,
     grid_time_average,
     gue_hamiltonian,
     haar_average_analytic,
@@ -25,11 +24,11 @@ from scramble import (
     nrc_upper_bound,
     r_matrices,
     scrambling_witness,
-    time_average_collinear,
     time_average_exact,
     time_average_nrc,
 )
 from conftest import BELL_COLUMNS, NRC_SPECTRUM, planted_generators
+from oracles import time_average_collinear
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +53,13 @@ def test_nrc_detection():
 
 def test_resonance_classes_partition_all_pairs():
     model = analyze_hamiltonian(np.diag([0.0, 1.0, 2.0]))
-    members = [pair for cls in model.resonance_classes for pair in cls]
-    assert sorted(members) == [(k, h) for k in range(3) for h in range(3)]
-    # the 0+2 = 1+1 collision merges into one class of three pairs
+    # flat index i*d + j stands for the pair (i, j) with gap E_i - E_j
+    members = np.concatenate(model.resonance_classes)
+    assert sorted(members) == list(range(9))
+    # the gap 0 holds the three diagonal pairs, the gaps ±1 two pairs each
     sizes = sorted(len(c) for c in model.resonance_classes)
     assert sizes == [1, 1, 2, 2, 3]
+    assert [sorted(c) for c in model.resonance_classes] == [[2], [1, 5], [0, 4, 8], [3, 7], [6]]
 
 
 def test_near_resonance_warns():

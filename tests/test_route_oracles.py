@@ -1,7 +1,9 @@
-"""The spectral-kernel time averages, the overlap matrix and its saturation
-residual, the center basis and the scrambling witness against their
-superoperator, contraction, projector-stack and loop reference routes,
-including dimensions above 16."""
+"""The gap-class exact time average, the spectral-kernel grids, the overlap
+matrix and its saturation residual, the center basis and the scrambling
+witness against their kernel, doubled-space, superoperator, contraction,
+projector-stack and loop reference routes, including dimensions above 16.
+The time-average oracles group the spectrum by pair sums, independently of
+the production gap classes."""
 
 from __future__ import annotations
 
@@ -35,8 +37,10 @@ from conftest import planted_generators, unitary
 from oracles import (
     center_projector_stack,
     evolution_values,
+    kernel_time_average,
     omega_time_average,
     overlaps_einsum,
+    pair_sum_nrc,
     superprojector_residual,
     witness_loop,
 )
@@ -66,6 +70,8 @@ def check_routes(alg, kind: str, seed: int) -> None:
     model = model_for(alg.dim, kind, seed)
     exact = time_average_exact(alg, model)
     assert abs(exact - omega_time_average(alg, model)) <= TOL
+    assert abs(exact - kernel_time_average(alg, model)) <= TOL
+    assert model.nrc == pair_sum_nrc(model)
     if model.nrc:
         assert abs(exact - time_average_nrc(alg, model)) <= TOL
     grid = grid_time_average(alg, model, 7.0, 24)
