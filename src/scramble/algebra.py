@@ -36,6 +36,7 @@ from .operator_space import (
     matrix_to_json,
     nullspace,
     orthonormalize,
+    positive_int,
     swap_operator,
 )
 
@@ -62,20 +63,20 @@ class AlgebraDescriptor:
 
     @classmethod
     def factor(cls, dim_a: int, dim_b: int, side: str = "A") -> "AlgebraDescriptor":
-        da, db = _positive_int(dim_a, "dim_a"), _positive_int(dim_b, "dim_b")
+        da, db = positive_int(dim_a, "dim_a"), positive_int(dim_b, "dim_b")
         return cls("factor", {"dim_a": da, "dim_b": db, "side": side})
 
     @classmethod
     def diagonal(cls, dim: int) -> "AlgebraDescriptor":
-        return cls("diagonal", {"dim": _positive_int(dim, "dim")})
+        return cls("diagonal", {"dim": positive_int(dim, "dim")})
 
     @classmethod
     def symmetric_swap(cls, local_dim: int) -> "AlgebraDescriptor":
-        return cls("symmetric_swap", {"local_dim": _positive_int(local_dim, "local_dim")})
+        return cls("symmetric_swap", {"local_dim": positive_int(local_dim, "local_dim")})
 
     @classmethod
     def group_z2(cls, local_dim: int) -> "AlgebraDescriptor":
-        return cls("group_z2", {"local_dim": _positive_int(local_dim, "local_dim")})
+        return cls("group_z2", {"local_dim": positive_int(local_dim, "local_dim")})
 
     @classmethod
     def loschmidt(cls, state) -> "AlgebraDescriptor":
@@ -274,10 +275,7 @@ def _center_basis(basis_a: np.ndarray, basis_ap: np.ndarray, tol: float) -> np.n
 
 
 def block_decomposition(
-    basis_a,
-    basis_aprime,
-    tol: float = RANK_TOL,
-    seed: RandomSeed | None = None,
+    basis_a, basis_aprime, tol: float = RANK_TOL
 ) -> tuple[BlockStructure, np.ndarray]:
     """Minimal central projections and block dimensions of an algebra pair.
 
@@ -293,8 +291,12 @@ def block_decomposition(
     basis_ap = np.asarray(basis_aprime, dtype=complex)
     if basis_a.ndim != 3 or basis_ap.ndim != 3 or basis_a.shape[-1] != basis_ap.shape[-1]:
         raise ShapeError("algebra and commutant bases must share one dimension")
+    if basis_a.shape[0] == 0 or basis_ap.shape[0] == 0:
+        raise DecompositionError(
+            f"empty basis (dim A = {basis_a.shape[0]}, dim A' = {basis_ap.shape[0]}); "
+            "the rank tolerance leaves no span"
+        )
     d = basis_a.shape[-1]
-    base = seed if seed is not None else _WITNESS_SEED
 
     center = _center_basis(basis_a, basis_ap, tol)
     z = center.shape[0]
@@ -304,7 +306,7 @@ def block_decomposition(
     witness = None
     groups = None
     for attempt in range(_MAX_WITNESS_ATTEMPTS):
-        draw = gaussian_variates(2 * z, base.child(attempt))
+        draw = gaussian_variates(2 * z, _WITNESS_SEED.child(attempt))
         coeffs = draw[:z] + 1j * draw[z:]
         sample = np.einsum("k,kij->ij", coeffs, center)
         sample = (sample + sample.conj().T) / 2.0
@@ -357,27 +359,14 @@ def block_decomposition(
     return blocks, projections
 
 
-def _positive_int(value, key: str) -> int:
-    """Integer parameter ``key`` of a named kind; refuses a missing value
-    (``None``), bools, strings, fractions and values below 1."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float, np.integer))
-        or not float(value).is_integer()
-        or value < 1
-    ):
-        raise ShapeError(f"'{key}' must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
     kind = desc.kind
     params = desc.params
     if kind == "generators":
         return algebra_closure(params["generators"], tol)
     if kind == "factor":
-        da = _positive_int(params.get("dim_a"), "dim_a")
-        db = _positive_int(params.get("dim_b"), "dim_b")
+        da = positive_int(params.get("dim_a"), "dim_a")
+        db = positive_int(params.get("dim_b"), "dim_b")
         side = str(params.get("side", "A")).upper()
         if side not in ("A", "B"):
             raise ShapeError(f"side must be 'A' or 'B', got {side!r}")
@@ -391,10 +380,10 @@ def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
                 )
         return orthonormalize(mats, tol)
     if kind == "diagonal":
-        d = _positive_int(params.get("dim"), "dim")
+        d = positive_int(params.get("dim"), "dim")
         return orthonormalize([np.diag(np.eye(d)[i]).astype(complex) for i in range(d)], tol)
     if kind in ("symmetric_swap", "group_z2"):
-        local = _positive_int(params.get("local_dim"), "local_dim")
+        local = positive_int(params.get("local_dim"), "local_dim")
         s = swap_operator(local)
         span = orthonormalize([np.eye(local * local, dtype=complex), s], tol)
         return commutant(span, tol) if kind == "symmetric_swap" else span
@@ -410,21 +399,20 @@ def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
     raise ShapeError(f"unknown algebra kind {kind!r}")
 
 
-def build_algebra(
-    desc: AlgebraDescriptor,
-    tol: float = RANK_TOL,
-    seed: RandomSeed | None = None,
-) -> OperatorAlgebra:
+def build_algebra(desc: AlgebraDescriptor, tol: float = RANK_TOL) -> OperatorAlgebra:
     """Construct an algebra, its commutant and block structure from a descriptor.
 
     Generator descriptors go through full span closure; named kinds assemble
     their spanning sets analytically and skip the closure iteration.  The
     commutant and the block decomposition are always computed numerically and
-    the structural invariants are verified before returning.
+    the structural invariants are verified before returning.  ``tol`` is the
+    relative rank threshold and must lie in (0, 1).
     """
+    if not 0.0 < tol < 1.0:
+        raise ShapeError(f"rank tolerance must be a finite number in (0, 1), got {tol!r}")
     basis_a = _named_generator_basis(desc, tol)
     basis_ap = commutant(basis_a, tol)
-    blocks, projections = block_decomposition(basis_a, basis_ap, tol=tol, seed=seed)
+    blocks, projections = block_decomposition(basis_a, basis_ap, tol=tol)
     alg = OperatorAlgebra(
         dim=basis_a.shape[-1],
         basis_a=basis_a,

@@ -4,7 +4,8 @@ computations and emit JSON reports or CSV tables.
 Exit codes partition the failure modes: 2 for input problems, 3 for
 decomposition failures, 4 for validation failures (non-unitary or
 non-hermitian matrices), 5 for domain errors (e.g. a collinear-only bound
-requested for a non-collinear algebra).
+requested for a non-collinear algebra).  Each error class in ``errors``
+carries its code.
 """
 
 from __future__ import annotations
@@ -36,20 +37,10 @@ from .dynamics import (
     time_average_exact,
     time_average_nrc,
 )
-from .errors import (
-    DecompositionError,
-    DomainError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import DomainError, ScrambleError, ShapeError
 from .gaac import gaac
 from .haar import haar_average_analytic, haar_average_mc
-from .operator_space import RandomSeed, haar_unitary, matrix_from_json
-
-EXIT_INPUT = 2
-EXIT_DECOMPOSITION = 3
-EXIT_VALIDATION = 4
-EXIT_DOMAIN = 5
+from .operator_space import RANK_TOL, RandomSeed, haar_unitary, matrix_from_json
 
 
 def _load_json(path: str):
@@ -69,26 +60,8 @@ def _algebra_source(value: str):
     raise ShapeError(f"algebra spec {value!r} is neither a file nor a shipped fixture")
 
 
-def _build(desc: AlgebraDescriptor, tol: float | None) -> OperatorAlgebra:
-    return build_algebra(desc, tol=tol) if tol is not None else build_algebra(desc)
-
-
-def _load_algebra(value: str, tol: float | None) -> OperatorAlgebra:
-    return _build(AlgebraDescriptor.from_json(_algebra_source(value)), tol)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _load_algebra(value: str, tol: float) -> OperatorAlgebra:
+    return build_algebra(AlgebraDescriptor.from_json(_algebra_source(value)), tol)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -108,7 +81,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(report: dict, out_path: str | None) -> None:
-    _emit(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n", out_path)
+    # numpy scalars that are not float subclasses (np.bool_, np.int64) go
+    # through ``default``; floats are written with float.__repr__ either way
+    text = json.dumps(report, sort_keys=True, indent=2, default=lambda x: x.item())
+    _emit(text + "\n", out_path)
 
 
 def _algebra_block(alg: OperatorAlgebra) -> dict:
@@ -150,8 +126,6 @@ def _resolve_unitary(args, alg: OperatorAlgebra) -> tuple[np.ndarray, dict]:
     model = hamiltonian_from_json(_load_json(args.hamiltonian))
     if args.time is None:
         raise ShapeError("--hamiltonian requires --time")
-    if model.matrix.shape[0] != alg.dim:
-        raise ShapeError("hamiltonian and algebra dimensions do not match")
     return evolution(model, args.time), {
         "kind": "hamiltonian",
         "path": args.hamiltonian,
@@ -182,8 +156,6 @@ def run_haar(args) -> int:
         raise ShapeError("haar requires --seed")
     if args.samples < 2:
         raise ShapeError(f"haar requires --samples >= 2, got {args.samples}")
-    if args.format == "json":
-        raise ShapeError("haar emits CSV only")
     lines = ["dim,d_Aprime,analytic,mc_mean,mc_std,samples,seed"]
     for index, spec in enumerate(args.algebra):
         alg = _load_algebra(spec, args.tol)
@@ -214,8 +186,6 @@ def run_time_average(args) -> int:
             raise ShapeError(f"--grid point count M must be an integer >= 1, got {points}")
     alg = _load_algebra(args.algebra, args.tol)
     model = hamiltonian_from_json(_load_json(args.hamiltonian))
-    if model.matrix.shape[0] != alg.dim:
-        raise ShapeError("hamiltonian and algebra dimensions do not match")
     exact = time_average_exact(alg, model)
     haar_mean = haar_average_analytic(alg)
     report = {
@@ -245,11 +215,8 @@ def run_time_average(args) -> int:
 
 def run_chaos(args) -> int:
     desc = AlgebraDescriptor.from_json(_algebra_source(args.algebra))
-    alg = _build(desc, args.tol)
-    obj = _load_json(args.hamiltonian)
-    model = hamiltonian_from_json(obj)
-    if model.matrix.shape[0] != alg.dim:
-        raise ShapeError("hamiltonian and algebra dimensions do not match")
+    alg = build_algebra(desc, args.tol)
+    model = hamiltonian_from_json(_load_json(args.hamiltonian))
     report = {
         "command": "chaos",
         "version": __version__,
@@ -266,9 +233,10 @@ def run_chaos(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=None, help="rank tolerance override")
+    sub.add_argument(
+        "--tol", type=float, default=RANK_TOL, help="relative rank tolerance in (0, 1)"
+    )
     sub.add_argument("--out", default=None, help="output path (atomic write); default stdout")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,18 +292,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ShapeError as exc:
+    except ScrambleError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DecompositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DECOMPOSITION
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return exc.exit_code
 
 
 if __name__ == "__main__":

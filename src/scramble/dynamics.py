@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorAlgebra, _positive_int
+from .algebra import OperatorAlgebra
 from .errors import DomainError, ShapeError, UndefinedMetricError, ValidationError
 from .gaac import upper_bound
 from .haar import haar_average_analytic
@@ -33,6 +33,7 @@ from .operator_space import (
     is_finite_real,
     is_hermitian,
     matrix_from_json,
+    positive_int,
 )
 
 #: Relative tolerance for grouping eigenvalues and gaps.
@@ -46,19 +47,26 @@ NEAR_RESONANCE_TOL = 1e-6
 class HamiltonianModel:
     """Hermitian generator with its spectral data and resonance structure.
 
-    ``resonance_classes`` partitions the flat eigenstate index pairs
-    ``i*d + j`` by the gap ``E_i - E_j`` at the grouping tolerance, one index
-    array per class in ascending order of the gap.  ``nrc`` is set when the
-    spectrum is non-degenerate and every nonzero gap is alone in its class,
-    so there are ``d^2 - d + 1`` classes.
+    ``levels`` partitions the eigenvalue indices into distinct energy levels
+    at the grouping tolerance, one index array per level in ascending order
+    of energy; the spectrum is ``degenerate`` when some level holds more than
+    one index.  ``resonance_classes`` partitions the flat eigenstate index
+    pairs ``i*d + j`` by the gap ``E_i - E_j`` at the same tolerance, one
+    index array per class in ascending order of the gap.  ``nrc`` is set when
+    the spectrum is non-degenerate and every nonzero gap is alone in its
+    class, so there are ``d^2 - d + 1`` classes.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    levels: tuple[np.ndarray, ...]
     resonance_classes: tuple[np.ndarray, ...]
     nrc: bool
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return len(self.levels) < self.eigenvalues.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +106,7 @@ def analyze_hamiltonian(h) -> HamiltonianModel:
     d = h.shape[0]
     spread = float(evals[-1] - evals[0])
     thresh = RESONANCE_TOL * spread
-    degenerate = len(group_by_gaps(evals, thresh)) < d
+    levels = tuple(group_by_gaps(evals, thresh))
 
     gaps = np.subtract.outer(evals, evals).ravel()
     classes = tuple(group_by_gaps(gaps, thresh))
@@ -117,14 +125,14 @@ def analyze_hamiltonian(h) -> HamiltonianModel:
                 stacklevel=2,
             )
 
-    nrc = not degenerate and len(classes) == d * d - d + 1
+    nrc = len(levels) == d and len(classes) == d * d - d + 1
     return HamiltonianModel(
         matrix=h,
         eigenvalues=evals,
         eigenvectors=evecs,
+        levels=levels,
         resonance_classes=classes,
         nrc=nrc,
-        degenerate=degenerate,
     )
 
 
@@ -170,10 +178,10 @@ def _grid_values(
     ``K = |M^dag M|^2 / dim A'`` (entrywise) is the real ``d^2 x d^2`` spectral
     kernel, with the rows of ``M`` the commutant basis in the energy
     eigenframe, flattened."""
-    if horizon <= 0:
-        raise ValidationError(f"horizon must be positive, got {horizon}")
-    if points < 1:
-        raise ValidationError(f"need at least one grid point, got {points}")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValidationError(f"horizon must be finite and positive, got {horizon}")
+    if not (points >= 1 and float(points).is_integer()):
+        raise ValidationError(f"point count must be an integer >= 1, got {points}")
     m = _basis_in_eigenframe(alg.basis_aprime, model).reshape(alg.dim_aprime, -1)
     kernel = np.abs(m.conj().T @ m) ** 2 / alg.dim_aprime
     times = horizon * np.arange(1, points + 1) / points
@@ -220,15 +228,10 @@ def evolution(model: HamiltonianModel, t: float) -> np.ndarray:
 
 
 def default_horizon(model: HamiltonianModel) -> float:
-    """``200 / (smallest distinct eigenvalue gap)``, or 1 for flat spectra."""
-    evals = model.eigenvalues
-    spread = float(evals[-1] - evals[0])
-    if spread == 0:
+    """``200 / (smallest gap between distinct levels)``, or 1 for flat spectra."""
+    if len(model.levels) < 2:
         return 1.0
-    groups = group_by_gaps(evals, RESONANCE_TOL * spread)
-    reps = np.sort([evals[g[0]] for g in groups])
-    if reps.size < 2:
-        return 1.0
+    reps = model.eigenvalues[[g[0] for g in model.levels]]
     return 200.0 / float(np.min(np.diff(reps)))
 
 
@@ -292,12 +295,9 @@ def dephased_state_purity(model: HamiltonianModel, psi) -> float:
         raise ShapeError("state and hamiltonian dimensions do not match")
     if abs(np.linalg.norm(psi) - 1.0) > ASSERT_TOL:
         raise ValidationError("state must be normalized")
-    evals = model.eigenvalues
-    spread = float(evals[-1] - evals[0])
-    groups = group_by_gaps(evals, RESONANCE_TOL * spread)
     rho = np.outer(psi, psi.conj())
     purity = 0.0
-    for g in groups:
+    for g in model.levels:
         cols = model.eigenvectors[:, g]
         proj = cols @ cols.conj().T
         purity += hs_norm(proj @ rho @ proj) ** 2
@@ -346,7 +346,7 @@ def hamiltonian_from_json(obj) -> HamiltonianModel:
     if not isinstance(obj, dict):
         raise ShapeError("hamiltonian spec must be a JSON object")
     if "gue" in obj:
-        d = _positive_int(obj["gue"], "gue")
+        d = positive_int(obj["gue"], "gue")
         if "seed" not in obj:
             raise ShapeError("ensemble shorthand requires a 'seed'")
         return analyze_hamiltonian(gue_hamiltonian(d, RandomSeed(obj["seed"])))

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import OperatorAlgebra, _positive_int
+from .algebra import OperatorAlgebra
 from .errors import ShapeError, ValidationError
 from .operator_space import (
     as_operator,
     hs_inner,
     is_unitary,
     permute_factors,
+    positive_int,
     swap_operator,
 )
 
@@ -49,7 +50,6 @@ class GaacReport:
     route: str
     upper_bound: float
     saturation_residual: float
-    algebra_fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,20 @@ class ClosedFormCase:
 
     @classmethod
     def bipartite_otoc(cls, dim_a: int, dim_b: int) -> "ClosedFormCase":
-        da, db = _positive_int(dim_a, "dim_a"), _positive_int(dim_b, "dim_b")
+        da, db = positive_int(dim_a, "dim_a"), positive_int(dim_b, "dim_b")
         return cls("bipartite_otoc", {"dim_a": da, "dim_b": db})
 
     @classmethod
     def cgp(cls, dim: int) -> "ClosedFormCase":
-        return cls("cgp", {"dim": _positive_int(dim, "dim")})
+        return cls("cgp", {"dim": positive_int(dim, "dim")})
 
     @classmethod
     def symmetric(cls, local_dim: int) -> "ClosedFormCase":
-        return cls("symmetric", {"local_dim": _positive_int(local_dim, "local_dim")})
+        return cls("symmetric", {"local_dim": positive_int(local_dim, "local_dim")})
 
     @classmethod
     def z2(cls, local_dim: int) -> "ClosedFormCase":
-        return cls("z2", {"local_dim": _positive_int(local_dim, "local_dim")})
+        return cls("z2", {"local_dim": positive_int(local_dim, "local_dim")})
 
     @classmethod
     def loschmidt(cls, state) -> "ClosedFormCase":
@@ -139,7 +139,6 @@ def gaac(alg: OperatorAlgebra, u) -> GaacReport:
         route="two_point",
         upper_bound=upper_bound(alg),
         saturation_residual=_residual_from_overlaps(alg, overlaps),
-        algebra_fingerprint=alg.fingerprint(),
     )
 
 

@@ -231,6 +231,20 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def positive_int(value, key: str) -> int:
+    """Integer parameter ``key`` as a Python ``int``; accepts integral floats
+    and refuses a missing value (``None``), bools, strings, fractions and
+    values below 1 with ``ShapeError``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, np.integer))
+        or value % 1 != 0  # also refuses NaN and infinities, and cannot overflow
+        or value < 1
+    ):
+        raise ShapeError(f"'{key}' must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def matrix_to_json(a) -> dict:
     """Matrix as ``{"dim": d, "entries": [[[re, im], ...], ...]}`` (row-major)."""
     a = as_operator(a)
@@ -243,9 +257,7 @@ def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix JSON format, rejecting non-square or ragged arrays."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ShapeError("matrix object must have 'dim' and 'entries'")
-    d = obj["dim"]
-    if not isinstance(d, int) or d < 1:
-        raise ShapeError(f"'dim' must be a positive integer, got {d!r}")
+    d = positive_int(obj["dim"], "dim")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != d:
         raise ShapeError(f"'entries' must be a list of {d} rows")

@@ -5,9 +5,11 @@ import pytest
 
 from scramble import (
     AlgebraDescriptor,
+    DecompositionError,
     ShapeError,
     ValidationError,
     algebra_closure,
+    block_decomposition,
     build_algebra,
     commutant,
     commutant_algebra,
@@ -383,3 +385,17 @@ def test_structure_basis_is_orthogonal_with_block_norms(bipartite22):
     # (n_J / d_J) on the diagonal, zero off it
     assert np.allclose(gram, np.diag(np.diagonal(gram)), atol=1e-10)
     assert np.allclose(np.diagonal(gram).real, 1.0)  # n = d = 2 per block here
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), 1.0, 2.0, float("inf")])
+def test_build_algebra_refuses_tolerance_outside_unit_interval(tol):
+    with pytest.raises(ShapeError):
+        build_algebra(AlgebraDescriptor.factor(2, 2), tol=tol)
+
+
+def test_block_decomposition_refuses_empty_basis():
+    basis = orthonormalize([np.eye(2, dtype=complex), SIGMA_Z])
+    empty = np.zeros((0, 2, 2), dtype=complex)
+    for pair in ((basis, empty), (empty, basis)):
+        with pytest.raises(DecompositionError):
+            block_decomposition(*pair)

@@ -5,7 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from scramble import matrix_to_json, swap_operator
+from scramble import (
+    DecompositionError,
+    DegeneracyError,
+    DomainError,
+    ShapeError,
+    UndefinedMetricError,
+    ValidationError,
+    matrix_to_json,
+    swap_operator,
+)
+from scramble import cli
 from scramble.cli import main
 from conftest import BELL_COLUMNS
 from oracles import gaac_distance_oracle, gaac_omega_oracle
@@ -373,3 +383,66 @@ def test_time_average_and_chaos_dimension_20(capsys, dimension_20_files):
     assert rc == 0
     assert chaos["exact_value"] == report["exact_value"]
     assert chaos["epsilon"] == pytest.approx(1 - chaos["exact_value"] / chaos["haar_mean"])
+
+
+@pytest.mark.parametrize(
+    "tol, code",
+    [("-1", 2), ("0", 2), ("nan", 2), ("2", 2), ("1e-17", 3), ("1e-300", 3)],
+)
+def test_bad_tolerance_exit_codes(capsys, tol, code):
+    assert main(["inspect", "--algebra", "bipartite_2x2", "--tol", tol]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_bool_matrix_dim_is_input_error(tmp_path, capsys):
+    bad = {"dim": True, "entries": [[[1, 0]]]}
+    path = write_json(tmp_path / "u.json", bad)
+    assert main(["gaac", "--algebra", "masa_2", "--unitary", path]) == 2
+    gens = {"kind": "generators", "params": {"generators": [bad]}}
+    desc = write_json(tmp_path / "desc.json", gens)
+    assert main(["inspect", "--algebra", desc]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaac", "--algebra", "masa_2", "--hamiltonian", "{bell}", "--time", "0.5"],
+        ["chaos", "--algebra", "masa_2", "--hamiltonian", "{bell}"],
+    ],
+    ids=["gaac", "chaos"],
+)
+def test_library_refuses_dimension_mismatch(capsys, bell_file, argv):
+    assert main([a.format(bell=bell_file) for a in argv]) == 2
+    assert "match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["inspect", "gaac", "haar", "time-average", "chaos"])
+def test_format_option_is_gone(capsys, bell_file, command):
+    argv = [command, "--algebra", "masa_2"]
+    if command in ("time-average", "chaos"):
+        argv += ["--hamiltonian", bell_file]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ShapeError, 2),
+        (DecompositionError, 3),
+        (DegeneracyError, 3),
+        (ValidationError, 4),
+        (DomainError, 5),
+        (UndefinedMetricError, 5),
+    ],
+)
+def test_error_classes_map_to_exit_codes(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_inspect", fail)
+    assert main(["inspect", "--algebra", "masa_2"]) == code
+    assert capsys.readouterr().err == "error: boom\n"

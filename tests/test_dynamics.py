@@ -19,6 +19,7 @@ from scramble import (
     grid_time_average,
     gue_hamiltonian,
     haar_average_analytic,
+    haar_unitary,
     hamiltonian_from_json,
     matrix_to_json,
     nrc_upper_bound,
@@ -312,3 +313,54 @@ def test_hamiltonian_json_rejects_malformed():
         hamiltonian_from_json({"eigenvalues": [0.0, 1.0]})
     with pytest.raises(ShapeError):
         hamiltonian_from_json([1, 2, 3])
+
+
+LEVEL_SPECTRA = {
+    # spectrum, expected level sizes, smallest gap between distinct levels
+    "generic": ([0.0, 0.5, 1.7, 3.1], [1, 1, 1, 1], 0.5),
+    "resonant": ([0.0, 1.0, 2.0, 3.0], [1, 1, 1, 1], 1.0),
+    "degenerate": ([0.0, 0.0, 1.5, 4.0], [2, 1, 1], 1.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEVEL_SPECTRA))
+def test_levels_partition_and_feed_horizon_and_purity(kind):
+    spectrum, sizes, min_gap = LEVEL_SPECTRA[kind]
+    d = len(spectrum)
+    basis = haar_unitary(d, RandomSeed(404, d))
+    model = analyze_hamiltonian((basis * np.asarray(spectrum)) @ basis.conj().T)
+    assert sorted(np.concatenate(model.levels)) == list(range(d))
+    assert [len(g) for g in model.levels] == sizes
+    means = [float(np.mean(model.eigenvalues[g])) for g in model.levels]
+    assert means == sorted(means)
+    assert model.degenerate == (len(sizes) < d)
+    assert default_horizon(model) == pytest.approx(200.0 / min_gap, rel=1e-12)
+    # dephased purity of a pure state: sum over levels of <psi|P|psi>^2, with
+    # P projecting onto the constructed eigenvectors of that level
+    psi = haar_unitary(d, RandomSeed(405, d))[:, 0]
+    weights = np.abs(basis.conj().T @ psi) ** 2
+    start, expected = 0, 0.0
+    for size in sizes:
+        expected += float(np.sum(weights[start : start + size])) ** 2
+        start += size
+    assert dephased_state_purity(model, psi) == pytest.approx(expected, abs=1e-12)
+
+
+def test_levels_of_gue_spectrum_are_singletons():
+    model = analyze_hamiltonian(gue_hamiltonian(6, RandomSeed(17)))
+    assert [list(g) for g in model.levels] == [[i] for i in range(6)]
+    assert not model.degenerate
+    gaps = np.diff(model.eigenvalues)
+    assert default_horizon(model) == pytest.approx(200.0 / float(np.min(gaps)), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "horizon, points",
+    [(float("nan"), 10), (float("inf"), 10), (0.0, 10), (5.0, 2.5), (5.0, 0)],
+    ids=["nan_horizon", "inf_horizon", "zero_horizon", "fractional_points", "no_points"],
+)
+def test_grid_parameters_refused(bipartite22, bell_model, horizon, points):
+    with pytest.raises(ValidationError):
+        grid_time_average(bipartite22, bell_model, horizon, points)
+    with pytest.raises(ValidationError):
+        fluctuation_scan(bipartite22, bell_model, [0.1], horizon=horizon, points=points)

@@ -270,3 +270,13 @@ def test_matrix_json_roundtrip():
 def test_matrix_json_rejects_malformed(bad):
     with pytest.raises(ShapeError):
         matrix_from_json(bad)
+
+
+@pytest.mark.parametrize("dim", [True, 2.5, "2", None, 10**400])
+def test_matrix_json_dim_must_be_positive_integer(dim):
+    with pytest.raises(ShapeError):
+        matrix_from_json({"dim": dim, "entries": [[[1, 0]]]})
+
+
+def test_matrix_json_accepts_integral_float_dim():
+    assert matrix_from_json({"dim": 1.0, "entries": [[[2, 0]]]}).shape == (1, 1)
