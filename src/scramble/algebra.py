@@ -10,9 +10,11 @@ as ``1_{n_J} (x) L(C^{d_J})``.  Consequently ``d = sum n_J d_J``,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +48,10 @@ _WITNESS_SEED = RandomSeed(0x5EEDB10C, 0)
 
 _MAX_WITNESS_ATTEMPTS = 8
 _INTEGER_GUARD = 1e-6
+
+#: Module seed of the random algebra elements that align the block frame.
+_FRAME_SEED = RandomSeed(0x5EEDB10C, 2000)
+_MAX_FRAME_ATTEMPTS = 4
 
 ALGEBRA_KINDS = ("generators", "factor", "diagonal", "symmetric_swap", "group_z2", "loschmidt")
 
@@ -167,6 +173,20 @@ class BlockStructure:
 
 
 @dataclass(frozen=True, eq=False)
+class BlockFrame:
+    """Unitary ``V`` with ``V^dag A V = ⊕_J 1_{n_J} (x) M_{d_J}``.
+
+    The columns of block ``J`` are contiguous, in ``blocks.pairs`` order, and
+    column ``a * d_J + i`` of a block carries commutant index ``a`` and algebra
+    index ``i``.  ``runs`` lists the maximal runs of consecutive blocks of one
+    shape as ``(first column, block count, n, d)``.
+    """
+
+    unitary: np.ndarray
+    runs: tuple[tuple[int, int, int, int], ...]
+
+
+@dataclass(frozen=True, eq=False)
 class OperatorAlgebra:
     """An algebra, its commutant, and the block decomposition they induce.
 
@@ -188,6 +208,12 @@ class OperatorAlgebra:
     @property
     def dim_aprime(self) -> int:
         return self.basis_aprime.shape[0]
+
+    @functools.cached_property
+    def block_frame(self) -> BlockFrame:
+        """Block frame derived from ``center_projections``, ``basis_a`` and
+        ``blocks.pairs`` on first use (see ``BlockFrame``)."""
+        return _block_frame(self.basis_a, self.center_projections, self.blocks.pairs)
 
     def fingerprint(self) -> str:
         return self.blocks.fingerprint()
@@ -282,7 +308,9 @@ def block_decomposition(
     The center is the intersection of the two spans.  A random hermitian
     center element (the witness) is eigendecomposed and its eigenvalues
     grouped; minimality is verified by requiring as many blocks as the
-    center dimension, with bounded resampling on collisions.  Per block,
+    center dimension, with bounded resampling on collisions (fewer groups).
+    More groups than the center dimension fail at once: the spans are not
+    closed under multiplication.  Per block,
     ``d_J`` is recovered from the rank of the compressed algebra and
     ``n_J`` from the block size, with integer-consistency guards that
     reject inputs which are not *-algebras at the working tolerance.
@@ -316,6 +344,14 @@ def block_decomposition(
         # center) groups rounding noise into a single block
         rms = float(np.linalg.norm(evals)) / np.sqrt(len(evals))
         candidate = group_by_gaps(evals, 1e-8 * max(spread, rms))
+        if len(candidate) > z:
+            # a collision can only merge blocks; more groups than the center
+            # dimension means the center is not an algebra, so no redraw helps
+            raise DecompositionError(
+                f"center witness has {len(candidate)} eigenvalue groups but the center "
+                f"has dimension {z}; the spans are not closed under multiplication "
+                "at tolerance"
+            )
         if len(candidate) == z:
             witness = sample
             groups = [(evecs[:, g]) for g in candidate]
@@ -357,6 +393,80 @@ def block_decomposition(
             "block dimension accounting disagrees with the basis cardinalities"
         )
     return blocks, projections
+
+
+def _align_block(yb: np.ndarray, zb: np.ndarray, n: int, dj: int) -> np.ndarray | None:
+    """Unitary taking one block of size ``n * dj`` to ``C^n (x) C^dj``, from
+    the compressions ``yb`` (hermitian) and ``zb`` of two random algebra
+    elements; ``None`` when the draw is not generic enough.
+
+    ``yb = 1 (x) Y`` has ``dj`` eigenspaces ``E_i`` of size ``n``, each equal to
+    ``C^n (x) |i>`` up to its own unitary ``X_i``.  Then ``E_1^dag zb E_i =
+    Z_1i X_1^dag X_i`` is a scalar multiple of a unitary intertwiner, and
+    ``E_i (E_1^dag zb E_i)^dag`` rotates every ``E_i`` onto ``X_1`` up to a phase.
+    """
+    evals, evecs = np.linalg.eigh(yb)
+    levels = evals.reshape(dj, n)
+    spread = float(np.max(levels[:, -1] - levels[:, 0]))
+    gap = float(np.min(levels[1:, 0] - levels[:-1, -1]))
+    if not spread <= 1e-6 * gap:
+        return None
+    spaces = evecs.reshape(-1, dj, n).transpose(1, 0, 2)  # E_i, shape (dj, m, n)
+    links = spaces[0].conj().T @ zb @ spaces[1:]  # E_1^dag zb E_i for i >= 2
+    scales = np.sqrt(np.einsum("iab,iab->i", links.conj(), links).real / n)
+    if not np.min(scales) > 1e-6 * np.linalg.norm(zb):
+        return None
+    links /= scales[:, None, None]
+    if np.max(np.abs(links @ links.conj().swapaxes(1, 2) - np.eye(n))) > 1e-6:
+        return None
+    aligned = np.concatenate([spaces[:1], spaces[1:] @ links.conj().swapaxes(1, 2)])
+    return aligned.transpose(1, 2, 0).reshape(n * dj, n * dj)
+
+
+def _block_frame(basis_a: np.ndarray, projections: np.ndarray, pairs) -> BlockFrame:
+    d = basis_a.shape[-1]
+    sizes = [n * dj for n, dj in pairs]
+    if len(projections) != len(pairs) or sum(sizes) != d:
+        raise DecompositionError(
+            f"{len(projections)} center projections do not fit the blocks {pairs}"
+        )
+    # the label operator sum_J J P_J has eigenvalue J on block J, so one
+    # eigendecomposition splits the space into the blocks in pairs order
+    labels = np.repeat(np.arange(len(pairs), dtype=float), sizes)
+    evals, frame = np.linalg.eigh(np.tensordot(np.arange(len(pairs)), projections, axes=1))
+    if np.max(np.abs(evals - labels)) > 0.25:
+        raise DecompositionError(
+            f"center projections are not orthogonal projections of ranks {sizes}"
+        )
+    starts = np.cumsum([0] + sizes)
+    mixed = [j for j, (n, dj) in enumerate(pairs) if n > 1 and dj > 1]
+    if mixed:
+        k = basis_a.shape[0]
+        for attempt in range(_MAX_FRAME_ATTEMPTS):
+            draw = gaussian_variates(4 * k, _FRAME_SEED.child(attempt))
+            y = np.tensordot(draw[:k] + 1j * draw[k : 2 * k], basis_a, axes=1)
+            z = np.tensordot(draw[2 * k : 3 * k] + 1j * draw[3 * k :], basis_a, axes=1)
+            y = (y + y.conj().T) / 2.0
+            local = []
+            for j in mixed:
+                q = frame[:, starts[j] : starts[j + 1]]
+                local.append(_align_block(q.conj().T @ y @ q, q.conj().T @ z @ q, *pairs[j]))
+            if all(rot is not None for rot in local):
+                break
+        else:
+            raise DecompositionError(
+                f"no block frame aligned in {_MAX_FRAME_ATTEMPTS} draws; "
+                "the input is not a *-algebra at tolerance"
+            )
+        for j, rot in zip(mixed, local):
+            frame[:, starts[j] : starts[j + 1]] = frame[:, starts[j] : starts[j + 1]] @ rot
+    runs, j = [], 0
+    for (n, dj), run in groupby(pairs):
+        count = len(list(run))
+        runs.append((int(starts[j]), count, n, dj))
+        j += count
+    frame.setflags(write=False)
+    return BlockFrame(unitary=frame, runs=tuple(runs))
 
 
 def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
@@ -431,11 +541,15 @@ def build_algebra(desc: AlgebraDescriptor, tol: float = RANK_TOL) -> OperatorAlg
 
 def commutant_algebra(alg: OperatorAlgebra) -> OperatorAlgebra:
     """The same structure viewed from the commutant's side."""
+    pairs = alg.blocks.pairs
+    # the stable sort of ``BlockStructure.swapped``, so the projections stay
+    # ordered like the swapped pairs
+    order = sorted(range(len(pairs)), key=lambda j: (-pairs[j][0], -pairs[j][1]))
     return OperatorAlgebra(
         dim=alg.dim,
         basis_a=alg.basis_aprime,
         basis_aprime=alg.basis_a,
-        center_projections=alg.center_projections,
+        center_projections=alg.center_projections[order],
         blocks=alg.blocks.swapped(),
     )
 

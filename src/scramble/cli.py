@@ -123,9 +123,9 @@ def _resolve_unitary(args, alg: OperatorAlgebra) -> tuple[np.ndarray, dict]:
             raise ShapeError("--haar requires --seed")
         u = haar_unitary(alg.dim, RandomSeed(args.seed))
         return u, {"kind": "haar", "seed": args.seed}
-    model = hamiltonian_from_json(_load_json(args.hamiltonian))
     if args.time is None:
         raise ShapeError("--hamiltonian requires --time")
+    model = hamiltonian_from_json(_load_json(args.hamiltonian))
     return evolution(model, args.time), {
         "kind": "hamiltonian",
         "path": args.hamiltonian,

@@ -10,10 +10,18 @@ unitarily evolved image.  ``G`` vanishes exactly when the channel leaves
 both the algebra and its commutant invariant, and is bounded by
 ``min(1 - 1/dim A, 1 - 1/dim A')``.
 
-The two-point overlap matrix gives both the value and the saturation
-residual.  Closed forms cover five named physical situations (bipartite
-averaged OTOC, coherence generating power, symmetric-operator and
-swap-group algebras, and the Loschmidt echo).
+The production route works in the algebra's block frame ``V`` (see
+``OperatorAlgebra.block_frame``), where ``V^dag A V = ⊕_J 1_{n_J} (x) M_{d_J}``.
+With ``W = V^dag U V`` and ``R_JK`` its ``(n_J d_J, n_K d_K)`` block realigned
+to an ``(n_J n_K, d_J d_K)`` matrix,
+
+    G = 1 - (1 / dim A') * sum_{J,K} ||R_JK R_JK^dag||_F^2 / (d_J d_K),
+
+the paper's unification of the averaged bipartite OTOC and operator
+entanglement: with one block it is the operator-entanglement formula.  The
+same Gram matrices give the saturation residual.  Closed forms cover five
+named physical situations (bipartite averaged OTOC, coherence generating
+power, symmetric-operator and swap-group algebras, and the Loschmidt echo).
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ class GaacReport:
     """
 
     value: float
-    route: str
+    route: str  # always "realignment", the one production route
     upper_bound: float
     saturation_residual: float
 
@@ -91,24 +99,42 @@ def _validate_unitary(u, d: int | None = None) -> np.ndarray:
     return u
 
 
-def _overlaps(alg: OperatorAlgebra, u: np.ndarray) -> np.ndarray:
-    """Overlap matrix ``O_gh = <f_g, U f_h U^dag> = <f_g U, U f_h>`` over the
-    commutant basis, as one (k', d^2) by (d^2, k') product."""
-    basis = alg.basis_aprime
-    k, d, _ = basis.shape
-    left = (basis.reshape(k * d, d) @ u).reshape(k, -1)
-    return left.conj() @ (u @ basis).reshape(k, -1).T
+def _realigned_sums(alg: OperatorAlgebra, u: np.ndarray, residual: bool):
+    """``sum_JK ||R_JK R_JK^dag||_F^2 / (d_J d_K)`` and, when ``residual`` is
+    set, the squared saturation residual, for ``u`` of shape ``(..., d, d)``.
 
-
-def _two_point_value(overlaps: np.ndarray) -> float:
-    return 1.0 - float(np.vdot(overlaps, overlaps).real) / overlaps.shape[0]
-
-
-def _residual_from_overlaps(alg: OperatorAlgebra, overlaps: np.ndarray) -> float:
-    # 1/sqrt(d) lies in A' and is fixed by Ad_U, so the depolarizer restricted
-    # to A' is the rank-one a a^dag with a_g = <f_g, 1/sqrt(d)>
-    a = np.trace(alg.basis_aprime, axis1=1, axis2=2).conj() / np.sqrt(alg.dim)
-    return float(np.linalg.norm(overlaps - np.outer(a, a.conj())))
+    Blocks of one shape are stacked, so each pair of runs costs one batched
+    realignment and one batched Gram product.  Each Gram is formed on its
+    smaller side.  The overlap block of ``(J, K)`` is a reshuffle of
+    ``R R^dag / sqrt(d_J d_K)`` and the depolarizer's block is ``c 1`` with
+    ``c = sqrt(d_J d_K) / d``, so the residual adds ``||R R^dag - (d_J d_K / d) 1||^2
+    / (d_J d_K)`` per block pair; on the ``d`` side ``R^dag R`` has the same
+    nonzero spectrum, and the identity's ``n_J n_K - d_J d_K`` extra
+    dimensions add ``c^2`` each.
+    """
+    frame = alg.block_frame
+    v = frame.unitary
+    w = v.conj().T @ u @ v
+    lead = w.shape[:-2]
+    axes = (*range(len(lead)), *(len(lead) + i for i in (0, 3, 1, 4, 2, 5)))
+    total = np.zeros(lead)
+    res_sq = np.zeros(lead)
+    for r0, rm, rn, rd in frame.runs:
+        for s0, sm, sn, sd in frame.runs:
+            block = w[..., r0 : r0 + rm * rn * rd, s0 : s0 + sm * sn * sd]
+            nn, dd = rn * sn, rd * sd
+            r = block.reshape(*lead, rm, rn, rd, sm, sn, sd).transpose(axes)
+            r = r.reshape(*lead, rm, sm, nn, dd)
+            rh = r.conj().swapaxes(-1, -2)
+            gram = r @ rh if nn <= dd else rh @ r
+            total += np.sum(np.abs(gram) ** 2, axis=(-4, -3, -2, -1)) / dd
+            if residual:
+                diag = np.arange(gram.shape[-1])
+                gram[..., diag, diag] -= dd / alg.dim
+                res_sq += np.sum(np.abs(gram) ** 2, axis=(-4, -3, -2, -1)) / dd
+                if nn > dd:
+                    res_sq += rm * sm * (nn - dd) * dd / alg.dim**2
+    return total, res_sq
 
 
 def upper_bound(alg: OperatorAlgebra) -> float:
@@ -122,23 +148,26 @@ def saturation_residual(alg: OperatorAlgebra, u) -> float:
     Returns ``|| P U_sup P - T ||_HS`` where ``P`` projects onto the
     commutant and ``T`` sends every operator to ``Tr(X) 1/d``; zero
     certifies saturation of the upper bound when ``dim A' <= dim A``.
-    Computed in the commutant basis, without a superoperator or a dimension
-    cap; its square equals ``dim A' (1 - G) - 1``.
+    Computed from the realigned Gram matrices in the block frame, without a
+    superoperator or a dimension cap.  Its square equals ``dim A' (1 - G) - 1``,
+    but the root of that difference is only good to about ``sqrt(dim A' eps)``,
+    so the Gram matrices are compared with the depolarizer explicitly.
     """
     u = _validate_unitary(u, alg.dim)
-    return _residual_from_overlaps(alg, _overlaps(alg, u))
+    _, res_sq = _realigned_sums(alg, u, residual=True)
+    return float(np.sqrt(res_sq))
 
 
 def gaac(alg: OperatorAlgebra, u) -> GaacReport:
-    """Anti-correlator of the channel ``X -> U X U^dag`` via the two-point route,
-    with the saturation residual read off the same overlap matrix."""
+    """Anti-correlator of the channel ``X -> U X U^dag`` by realignment in the
+    block frame, with the saturation residual read off the same Gram matrices."""
     u = _validate_unitary(u, alg.dim)
-    overlaps = _overlaps(alg, u)
+    total, res_sq = _realigned_sums(alg, u, residual=True)
     return GaacReport(
-        value=_two_point_value(overlaps),
-        route="two_point",
+        value=1.0 - float(total) / alg.dim_aprime,
+        route="realignment",
         upper_bound=upper_bound(alg),
-        saturation_residual=_residual_from_overlaps(alg, overlaps),
+        saturation_residual=float(np.sqrt(res_sq)),
     )
 
 

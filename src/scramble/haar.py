@@ -10,7 +10,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, OperatorAlgebra, build_algebra
 from .errors import ValidationError
-from .gaac import _overlaps, _two_point_value, upper_bound
+from .gaac import _realigned_sums, upper_bound
 from .operator_space import RandomSeed, haar_unitary
 
 
@@ -48,23 +48,39 @@ def haar_average_analytic(alg: OperatorAlgebra) -> float:
     return (d * d - k) * (k - 1) / (k * (d * d - 1))
 
 
+#: Complex entries per stack of sampled unitaries (4 MB), so a chunk of
+#: samples shares one batched realignment while memory stays bounded.
+_CHUNK_ENTRIES = 2**18
+
+
+def _sample_values(alg: OperatorAlgebra, n: int, seed: RandomSeed) -> np.ndarray:
+    """Anti-correlators of the ``n`` Haar unitaries ``haar_unitary(d, seed.child(i))``."""
+    d = alg.dim
+    chunk = max(1, _CHUNK_ENTRIES // (d * d))
+    totals = [
+        _realigned_sums(
+            alg,
+            np.stack([haar_unitary(d, seed.child(i)) for i in range(lo, min(n, lo + chunk))]),
+            residual=False,
+        )[0]
+        for lo in range(0, n, chunk)
+    ]
+    return 1.0 - np.concatenate(totals) / alg.dim_aprime
+
+
 def haar_average_mc(alg: OperatorAlgebra, n: int, seed: RandomSeed) -> HaarSummary:
     """Sample mean and standard deviation of the anti-correlator over ``n``
     independent Haar unitaries.
 
     Sample ``i`` is ``haar_unitary(d, seed.child(i))``, so results are
     deterministic for a given seed.  Each sample costs one QR of a d x d
-    Ginibre matrix and one (k', d^2) by (d^2, k') overlap product; samples
-    are evaluated one at a time, which keeps memory at one overlap matrix.
+    Ginibre matrix, two d x d products into the block frame and the
+    realigned Gram matrices of ``gaac``, batched over chunks of samples; no
+    commutant basis is read.
     """
     if n < 2:
         raise ValidationError(f"need at least 2 samples, got {n}")
-    d = alg.dim
-    values = np.fromiter(
-        (_two_point_value(_overlaps(alg, haar_unitary(d, seed.child(i)))) for i in range(n)),
-        dtype=float,
-        count=n,
-    )
+    values = _sample_values(alg, n, seed)
     return HaarSummary(
         analytic_mean=haar_average_analytic(alg),
         mc_mean=float(np.mean(values)),

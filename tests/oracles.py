@@ -2,10 +2,10 @@
 ``algebra``, ``gaac``, ``haar`` and ``dynamics``.
 
 Each oracle computes its quantity the long way, through a d^2 x d^2
-superoperator, a doubled-space carrier, an explicit block frame, a projector
-stack, an elementwise contraction, a per-time-point loop, a pair-sum
-grouping of the spectrum or a second algebraic form, independently of the
-production route it checks.  None of them has a dimension cap; the
+superoperator, a doubled-space carrier, an explicit block frame, the
+commutant-basis overlap matrix, a projector stack, an elementwise
+contraction, a per-time-point loop, a pair-sum grouping of the spectrum or a
+second algebraic form, independently of the production route it checks.  None of them has a dimension cap; the
 superoperator and doubled-space routes hold d^4 complex numbers, so callers
 keep d small.
 """
@@ -290,6 +290,30 @@ def superprojector_residual(alg, u) -> float:
     ident = vec(np.eye(d, dtype=complex))
     depolarize = np.outer(ident, ident.conj()) / d
     return float(np.linalg.norm(proj @ channel_matrix(u) @ proj - depolarize))
+
+
+def _overlaps(alg, u) -> np.ndarray:
+    """Overlap matrix ``O_gh = <f_g, U f_h U^dag> = <f_g U, U f_h>`` over the
+    commutant basis, as one (k', d^2) by (d^2, k') product."""
+    basis = alg.basis_aprime
+    k, d, _ = basis.shape
+    left = (basis.reshape(k * d, d) @ u).reshape(k, -1)
+    return left.conj() @ (u @ basis).reshape(k, -1).T
+
+
+def trace_vector(alg) -> np.ndarray:
+    """``a_g = <f_g, 1/sqrt(d)>``: 1/sqrt(d) lies in A' and is fixed by Ad_U, so
+    the depolarizer restricted to A' is the rank-one ``a a^dag``."""
+    return np.trace(alg.basis_aprime, axis1=1, axis2=2).conj() / np.sqrt(alg.dim)
+
+
+def _two_point_value(overlaps: np.ndarray) -> float:
+    return 1.0 - float(np.vdot(overlaps, overlaps).real) / overlaps.shape[0]
+
+
+def _residual_from_overlaps(alg, overlaps: np.ndarray) -> float:
+    a = trace_vector(alg)
+    return float(np.linalg.norm(overlaps - np.outer(a, a.conj())))
 
 
 def overlaps_einsum(alg, u) -> np.ndarray:

@@ -394,6 +394,29 @@ def test_bad_tolerance_exit_codes(capsys, tol, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_gaac_hamiltonian_needs_time_before_reading_it(tmp_path, capsys, recwarn):
+    # a d = 300 GUE spectrum would take a noticeable time to analyze and
+    # warn about near-resonant gaps; the missing --time must stop the run first
+    path = write_json(tmp_path / "g.json", {"gue": 300, "seed": 1})
+    assert main(["gaac", "--algebra", "masa_4", "--hamiltonian", path]) == 2
+    err = capsys.readouterr().err
+    assert "--time" in err
+    assert "Traceback" not in err and "near-resonant" not in err
+    assert not [w for w in recwarn if "near-resonant" in str(w.message)]
+
+
+@pytest.mark.parametrize(
+    "algebra, tol", [("loschmidt_4", "0.5"), ("loschmidt_4", "0.9"), ("z2_2", "0.9")]
+)
+def test_loose_tolerance_fails_as_non_algebra(capsys, algebra, tol):
+    # the loose rank cut keeps spans that are not closed under multiplication,
+    # so the center witness splits into more groups than the center has elements
+    assert main(["inspect", "--algebra", algebra, "--tol", tol]) == 3
+    err = capsys.readouterr().err
+    assert "not closed under multiplication" in err
+    assert "failed to separate" not in err and "Traceback" not in err
+
+
 def test_bool_matrix_dim_is_input_error(tmp_path, capsys):
     bad = {"dim": True, "entries": [[[1, 0]]]}
     path = write_json(tmp_path / "u.json", bad)

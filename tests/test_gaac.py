@@ -49,7 +49,7 @@ def test_hadamard_on_masa(masa2):
     report = gaac(masa2, HADAMARD)
     assert report.value == pytest.approx(0.5, abs=1e-12)
     assert report.upper_bound == pytest.approx(0.5)
-    assert report.route == "two_point"
+    assert report.route == "realignment"
 
 
 def test_swap_on_bipartite(bipartite22):

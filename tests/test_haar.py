@@ -75,7 +75,7 @@ def test_mc_rejects_single_sample(masa2):
         haar_average_mc(masa2, 1, RandomSeed(1))
 
 
-def test_mc_deterministic_and_worker_independent(masa4):
+def test_mc_deterministic_and_worker_independent(masa4, monkeypatch):
     one = haar_average_mc(masa4, 50, RandomSeed(2718))
     two = haar_average_mc(masa4, 50, RandomSeed(2718))
     assert one == two
@@ -83,6 +83,11 @@ def test_mc_deterministic_and_worker_independent(masa4):
     values = [gaac(masa4, haar_unitary(4, RandomSeed(2718).child(i))).value for i in range(50)]
     assert one.mc_mean == pytest.approx(np.mean(values), abs=1e-15)
     assert one.mc_std == pytest.approx(np.std(values, ddof=1), abs=1e-15)
+    # chunks of 3 samples, the last one short
+    monkeypatch.setattr("scramble.haar._CHUNK_ENTRIES", 3 * masa4.dim**2)
+    chunked = haar_average_mc(masa4, 50, RandomSeed(2718))
+    assert chunked.mc_mean == pytest.approx(np.mean(values), abs=1e-15)
+    assert chunked.mc_std == pytest.approx(np.std(values, ddof=1), abs=1e-15)
 
 
 def test_every_sample_respects_bound(masa4):

@@ -1,9 +1,10 @@
-"""The gap-class exact time average, the spectral-kernel grids, the overlap
-matrix and its saturation residual, the center basis and the scrambling
-witness against their kernel, doubled-space, superoperator, contraction,
-projector-stack and loop reference routes, including dimensions above 16.
-The time-average oracles group the spectrum by pair sums, independently of
-the production gap classes."""
+"""The gap-class exact time average, the spectral-kernel grids, the
+block-frame GAAC with its saturation residual and Monte-Carlo samples (on
+each algebra and its commutant view), the overlap matrix, the center basis
+and the scrambling witness against their kernel, doubled-space,
+superoperator, overlap, contraction, projector-stack and loop reference
+routes, including dimensions above 16.  The time-average oracles group the
+spectrum by pair sums, independently of the production gap classes."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from scramble import (
     RandomSeed,
     analyze_hamiltonian,
     build_algebra,
+    commutant_algebra,
     fluctuation_scan,
     gaac,
     grid_time_average,
@@ -32,9 +34,12 @@ from scramble import (
     upper_bound,
 )
 from scramble.algebra import _center_basis
-from scramble.gaac import _overlaps
+from scramble.haar import _sample_values
 from conftest import planted_generators, unitary
 from oracles import (
+    _overlaps,
+    _residual_from_overlaps,
+    _two_point_value,
     center_projector_stack,
     evolution_values,
     kernel_time_average,
@@ -79,11 +84,26 @@ def check_routes(alg, kind: str, seed: int) -> None:
     if alg.blocks.collinear:
         (row,) = fluctuation_scan(alg, model, [0.1], horizon=7.0, points=24)
         assert row.markov_bound == pytest.approx((upper_bound(alg) - exact) / 0.1, abs=TOL)
+    for view in (alg, commutant_algebra(alg)):
+        check_realignment(view, seed)
+
+
+def check_realignment(alg, seed: int) -> None:
+    """The block-frame realignment against the commutant-basis overlap matrix:
+    value, saturation residual and every Monte-Carlo sample."""
     for stream in range(3):
         u = unitary(alg.dim, seed, stream)
         report = gaac(alg, u)
+        overlaps = _overlaps(alg, u)
+        assert abs(report.value - _two_point_value(overlaps)) <= TOL
+        assert abs(report.saturation_residual - _residual_from_overlaps(alg, overlaps)) <= TOL
         assert abs(report.saturation_residual - superprojector_residual(alg, u)) <= TOL
         assert report.saturation_residual == saturation_residual(alg, u)
+    mc_seed = RandomSeed(seed, 50)
+    samples = _sample_values(alg, 6, mc_seed)
+    for i, value in enumerate(samples):
+        u = haar_unitary(alg.dim, mc_seed.child(i))
+        assert abs(value - _two_point_value(_overlaps(alg, u))) <= TOL
 
 
 @pytest.mark.parametrize("kind", SPECTRA)
