@@ -20,6 +20,7 @@ from .errors import (
 )
 from .operator_space import (
     ASSERT_TOL,
+    MEMORY_BUDGET,
     RANK_TOL,
     RandomSeed,
     gaussian_variates,

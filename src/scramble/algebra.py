@@ -14,7 +14,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .operator_space import (
     ASSERT_TOL,
+    CHUNK_ENTRIES,
     RANK_TOL,
     RandomSeed,
     as_operator,
@@ -39,7 +40,12 @@ from .operator_space import (
     nullspace,
     orthonormalize,
     positive_int,
+    require_memory,
     swap_operator,
+    _row_basis,
+    _stack_vecs,
+    _streamed_r,
+    _unstack_vecs,
 )
 
 #: Module seed for center-witness sampling; fixed so decompositions are
@@ -225,8 +231,12 @@ def algebra_closure(generators: Sequence, tol: float = RANK_TOL) -> np.ndarray:
 
     Seeds the span with the generators, their adjoints and the identity,
     then alternates pairwise products with re-orthonormalization until the
-    rank is stationary.  Re-orthonormalizing every round prevents
-    conditioning decay in long product chains.
+    rank is stationary; re-orthonormalizing every round prevents conditioning
+    decay in long product chains.  A round folds the basis and its ``k^2``
+    products, in chunks ``basis[s:s+step] x basis`` of about ``CHUNK_ENTRIES``
+    entries, into a streamed R factor of at most ``d^2`` rows, and takes the
+    new basis from one SVD of R with the ``tol * sigma_max`` cut of
+    ``orthonormalize``: ``O(k^2 d^4)`` time and ``O(d^4)`` memory per round.
     """
     mats = [as_operator(g, "generator") for g in generators]
     if not mats:
@@ -238,9 +248,15 @@ def algebra_closure(generators: Sequence, tol: float = RANK_TOL) -> np.ndarray:
     seed = mats + [m.conj().T for m in mats] + [np.eye(d, dtype=complex)]
     basis = orthonormalize(seed, tol)
     while True:
-        products = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, d, d)
-        grown = orthonormalize(np.concatenate([basis, products]), tol)
-        if grown.shape[0] == basis.shape[0]:
+        k = basis.shape[0]
+        step = max(1, CHUNK_ENTRIES // (k * d * d))
+        products = (
+            _stack_vecs((basis[s : s + step, None] @ basis).reshape(-1, d, d))
+            for s in range(0, k, step)
+        )
+        r = _streamed_r(chain([_stack_vecs(basis)], products), d * d)
+        grown = _row_basis(r, d, tol)
+        if grown.shape[0] == k:
             return grown
         basis = grown
 
@@ -248,25 +264,29 @@ def algebra_closure(generators: Sequence, tol: float = RANK_TOL) -> np.ndarray:
 def commutant(alg_basis, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of ``{X : [X, b] = 0 for every basis element b}``.
 
-    Stacks the vectorized commutator maps ``X -> [X, b]`` and takes the joint
-    nullspace; in the column-stacking convention the map for ``b`` is
-    ``kron(b.T, 1) - kron(1, b)``.
+    The joint nullspace of the vectorized commutator maps ``X -> [X, b]``;
+    in the column-stacking convention the map for ``b`` is
+    ``kron(b.T, 1) - kron(1, b)``.  The ``k`` maps of ``d^2`` rows each are
+    folded a few at a time (about ``CHUNK_ENTRIES`` entries per block) into a
+    streamed ``(d^2, d^2)`` R factor, which has the singular values and right
+    singular vectors of their ``(k d^2, d^2)`` stack; the stack is never
+    formed.  ``O(k d^6)`` time and ``16 d^4`` bytes for R.
     """
     basis = np.asarray(alg_basis, dtype=complex)
     if basis.ndim != 3 or basis.shape[0] == 0:
         raise ShapeError("commutant needs a nonempty basis of square matrices")
     d = basis.shape[-1]
     eye = np.eye(d)
-    stacked = np.concatenate(
-        [np.kron(b.T, eye) - np.kron(eye, b) for b in basis], axis=0
+    step = max(1, CHUNK_ENTRIES // d**4)
+    maps = (
+        np.concatenate([np.kron(b.T, eye) - np.kron(eye, b) for b in basis[s : s + step]])
+        for s in range(0, basis.shape[0], step)
     )
-    # basis elements are unit norm, so the stack either vanishes (everything
-    # commutes) or has O(1) leading singular value; the floor keeps a
-    # noise-level stack from masquerading as a proper commutator map
-    cols = nullspace(stacked, tol, scale_floor=1.0)
-    mats = np.stack([cols[:, j].reshape(d, d, order="F") for j in range(cols.shape[1])]) \
-        if cols.shape[1] else np.zeros((0, d, d), dtype=complex)
-    return mats
+    # basis elements are unit norm, so the maps either vanish (everything
+    # commutes) or have O(1) leading singular value; the floor keeps a
+    # noise-level R from masquerading as a proper commutator map
+    cols = nullspace(_streamed_r(maps, d * d), tol, scale_floor=1.0)
+    return _unstack_vecs(cols.T, d)
 
 
 def project_onto(basis, x) -> np.ndarray:
@@ -469,17 +489,32 @@ def _block_frame(basis_a: np.ndarray, projections: np.ndarray, pairs) -> BlockFr
     return BlockFrame(unitary=frame, runs=tuple(runs))
 
 
+#: R-sized (16 d^4-byte) arrays at the peak of a build: the streamed R
+#: factor, one block of commutator maps, their concatenation and the QR's
+#: copies, then the SVD of R with its factors and work space.  The peak RSS
+#: of ``diagonal(24)`` and ``diagonal(30)`` builds was 13.6 and 14.2 of them.
+_BUILD_ARRAYS = 14
+
+
+def _require_build_memory(d: int) -> None:
+    require_memory(_BUILD_ARRAYS * 16 * d**4, f"an algebra of dimension {d}")
+
+
 def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
     kind = desc.kind
     params = desc.params
     if kind == "generators":
-        return algebra_closure(params["generators"], tol)
+        gens = params["generators"]
+        if gens:
+            _require_build_memory(as_operator(gens[0], "generator").shape[0])
+        return algebra_closure(gens, tol)
     if kind == "factor":
         da = positive_int(params.get("dim_a"), "dim_a")
         db = positive_int(params.get("dim_b"), "dim_b")
         side = str(params.get("side", "A")).upper()
         if side not in ("A", "B"):
             raise ShapeError(f"side must be 'A' or 'B', got {side!r}")
+        _require_build_memory(da * db)
         mats = []
         for i in range(da if side == "A" else db):
             for j in range(da if side == "A" else db):
@@ -491,9 +526,11 @@ def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
         return orthonormalize(mats, tol)
     if kind == "diagonal":
         d = positive_int(params.get("dim"), "dim")
+        _require_build_memory(d)
         return orthonormalize([np.diag(np.eye(d)[i]).astype(complex) for i in range(d)], tol)
     if kind in ("symmetric_swap", "group_z2"):
         local = positive_int(params.get("local_dim"), "local_dim")
+        _require_build_memory(local * local)
         s = swap_operator(local)
         span = orthonormalize([np.eye(local * local, dtype=complex), s], tol)
         return commutant(span, tol) if kind == "symmetric_swap" else span
@@ -501,6 +538,7 @@ def _named_generator_basis(desc: AlgebraDescriptor, tol: float) -> np.ndarray:
         psi = np.asarray(params["state"], dtype=complex).reshape(-1)
         if psi.size < 2:
             raise ValidationError("state must live in dimension >= 2")
+        _require_build_memory(psi.size)
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > ASSERT_TOL:
             raise ValidationError(f"state must be normalized, got norm {norm}")
@@ -516,7 +554,9 @@ def build_algebra(desc: AlgebraDescriptor, tol: float = RANK_TOL) -> OperatorAlg
     their spanning sets analytically and skip the closure iteration.  The
     commutant and the block decomposition are always computed numerically and
     the structural invariants are verified before returning.  ``tol`` is the
-    relative rank threshold and must lie in (0, 1).
+    relative rank threshold and must lie in (0, 1).  A dimension whose build
+    would need more than ``MEMORY_BUDGET`` bytes (about ``224 d^4``) is
+    refused with ``ShapeError`` before anything of that size is allocated.
     """
     if not 0.0 < tol < 1.0:
         raise ShapeError(f"rank tolerance must be a finite number in (0, 1), got {tol!r}")

@@ -204,6 +204,8 @@ def run_time_average(args) -> int:
     if args.bound and not alg.blocks.collinear:
         raise DomainError("the infinite-time bound is defined for collinear pairs only")
     if alg.blocks.collinear:
+        # the formula's value on fully scrambled eigenstates, not an upper
+        # bound; the key keeps its name for existing readers of the report
         report["bound"] = nrc_upper_bound(alg)
         report["witness"] = scrambling_witness(alg, model)
     if args.grid is not None:

@@ -6,10 +6,10 @@ infinite-time average therefore keeps one term per class of equal gaps,
 for any spectrum.  When the spectrum satisfies the non-resonance condition
 (NRC: non-degenerate eigenvalues with non-degenerate gaps) it reduces to a
 formula in two Gram matrices built from the projected eigenprojectors.
-Collinear algebra pairs additionally admit an upper bound whose saturation
-is witnessed by the eigenstates being fully scrambled by both conditional
-expectations.  Only the time grids build the real ``d^2 x d^2`` spectral
-kernel.
+For collinear algebra pairs the formula is at most the Haar mean, and it
+takes a closed-form value when the eigenstates are fully scrambled by both
+conditional expectations.  Only the time grids build the real ``d^2 x d^2``
+spectral kernel.
 """
 
 from __future__ import annotations
@@ -34,13 +34,18 @@ from .operator_space import (
     is_hermitian,
     matrix_from_json,
     positive_int,
+    require_memory,
 )
 
 #: Relative tolerance for grouping eigenvalues and gaps.
 RESONANCE_TOL = 1e-9
-#: Relative gaps in (RESONANCE_TOL, NEAR_RESONANCE_TOL] trigger a warning,
-#: since the infinite-time limit is discontinuous across a resonance.
+#: Neighbouring gap classes closer than this fraction of the mean level
+#: spacing trigger a warning, since the infinite-time limit is
+#: discontinuous across a resonance.
 NEAR_RESONANCE_TOL = 1e-6
+#: Bytes per eigenvalue pair of a spectral analysis: the ``d^2`` gaps, their
+#: sort order and one index array per gap class.
+_PAIR_BYTES = 320
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +100,20 @@ def analyze_hamiltonian(h) -> HamiltonianModel:
 
     Eigenvalues and the ``d^2`` gaps ``E_i - E_j`` are grouped at
     ``RESONANCE_TOL * (E_max - E_min)``.  Neighbouring gap classes closer
-    than ``NEAR_RESONANCE_TOL`` of that range are reported with a warning,
-    counting each ``(w, -w)`` pair once, because the infinite-time average is
-    discontinuous there.
+    than ``NEAR_RESONANCE_TOL`` of the mean level spacing
+    ``(E_max - E_min) / (d - 1)`` are reported with a warning, counting each
+    ``(w, -w)`` pair once, because the infinite-time average is
+    discontinuous there.  A window scaled to the level spacing, not to the
+    range, keeps ordinary level statistics out of it as ``d`` grows.  A
+    dimension whose analysis would need more than ``MEMORY_BUDGET`` bytes
+    is refused with ``ShapeError`` before the gaps are formed.
     """
     h = as_operator(h, "hamiltonian")
+    d = h.shape[0]
+    _require_spectral_memory(d)
     if not is_hermitian(h):
         raise ValidationError("hamiltonian is not hermitian at tolerance")
     evals, evecs = np.linalg.eigh(h)
-    d = h.shape[0]
     spread = float(evals[-1] - evals[0])
     thresh = RESONANCE_TOL * spread
     levels = tuple(group_by_gaps(evals, thresh))
@@ -115,13 +125,14 @@ def analyze_hamiltonian(h) -> HamiltonianModel:
         # classes come in ascending order and mirror under w -> -w; the top
         # member of the zero class is >= 0 even when that class is widened
         reps = gaps[[c[-1] for c in classes]]
-        steps = np.diff(reps[reps >= 0]) / spread
-        near = steps[(steps > RESONANCE_TOL) & (steps <= NEAR_RESONANCE_TOL)]
+        steps = np.diff(reps[reps >= 0])
+        window = NEAR_RESONANCE_TOL * spread / (d - 1)
+        near = steps[(steps > thresh) & (steps <= window)]
         if near.size:
             warnings.warn(
-                f"{near.size} near-resonant gap(s) within "
-                f"({RESONANCE_TOL:g}, {NEAR_RESONANCE_TOL:g}] "
-                "of the spectral range; the infinite-time average is unstable there",
+                f"{near.size} near-resonant gap(s) within ({thresh:.3g}, {window:.3g}], "
+                f"{NEAR_RESONANCE_TOL:g} of the mean level spacing; "
+                "the infinite-time average is unstable there",
                 stacklevel=2,
             )
 
@@ -134,6 +145,10 @@ def analyze_hamiltonian(h) -> HamiltonianModel:
         resonance_classes=classes,
         nrc=nrc,
     )
+
+
+def _require_spectral_memory(d: int) -> None:
+    require_memory(_PAIR_BYTES * d * d, f"a {d}-dimensional Hamiltonian")
 
 
 def _basis_in_eigenframe(basis: np.ndarray, model: HamiltonianModel) -> np.ndarray:
@@ -248,8 +263,20 @@ def grid_time_average(
 
 
 def nrc_upper_bound(alg: OperatorAlgebra) -> float:
-    """Upper bound on the formula value for collinear pairs,
-    ``1 - 1/dim A' - 1/dim A + 1/(d dim A')``."""
+    """Value of the formula ``time_average_nrc`` on fully scrambled
+    eigenstates of a collinear pair, ``1 - 1/dim A' - 1/dim A + 1/(d dim A')``.
+
+    Eigenstates whose projected eigenprojectors are all maximally mixed on
+    both sides (``scrambling_witness`` 0) give this value.  It is not an upper
+    bound on the formula: other eigenbases exceed it (``factor(2, 2)`` reaches
+    0.6000 against 9/16).  For collinear pairs the formula is bounded by the
+    Haar mean instead: collinearity makes the rows of ``r0`` sum to ``k'/d``
+    and those of ``r1`` to 1 with a shared diagonal ``D``, Cauchy-Schwarz on
+    the off-diagonal entries bounds the Gram total from below by
+    ``sum_l D_l^2 + ((k'/d - D_l)^2 + (1 - D_l)^2) / (d - 1)``, and its minimum
+    at ``D = (k'/d + 1)/(d + 1)`` gives exactly
+    ``(d^2 - k')(k' - 1) / (k' (d^2 - 1))``.
+    """
     if not alg.blocks.collinear:
         raise DomainError("the infinite-time bound is derived for collinear pairs only")
     return 1.0 - 1.0 / alg.dim_aprime - 1.0 / alg.dim_a + 1.0 / (alg.dim * alg.dim_aprime)
@@ -257,8 +284,8 @@ def nrc_upper_bound(alg: OperatorAlgebra) -> float:
 
 def scrambling_witness(alg: OperatorAlgebra, model: HamiltonianModel) -> float:
     """Largest distance of a projected eigenprojector from the maximally
-    mixed state, over both sides; zero certifies saturation of the
-    infinite-time bound.
+    mixed state, over both sides; zero means the eigenstates are fully
+    scrambled, and then the formula takes the value ``nrc_upper_bound``.
 
     ``1/d`` lies in both A and A', so ``P(|l><l|) - 1/d`` has coefficients
     ``conj(<l|f_g|l> - Tr(f_g)/d)`` on an orthonormal basis ``{f_g}``.  Taking
@@ -334,7 +361,10 @@ def fluctuation_scan(
 
 
 def gue_hamiltonian(d: int, seed: RandomSeed) -> np.ndarray:
-    """Gaussian-unitary-ensemble draw ``(G + G^dag)/2`` from a Ginibre matrix."""
+    """Gaussian-unitary-ensemble draw ``(G + G^dag)/2`` from a Ginibre matrix;
+    a dimension that ``analyze_hamiltonian`` would refuse is refused before
+    the draw."""
+    _require_spectral_memory(d)
     g = ginibre(d, seed)
     return (g + g.conj().T) / 2.0
 

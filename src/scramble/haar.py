@@ -11,7 +11,7 @@ import numpy as np
 from .algebra import AlgebraDescriptor, OperatorAlgebra, build_algebra
 from .errors import ValidationError
 from .gaac import _realigned_sums, upper_bound
-from .operator_space import RandomSeed, haar_unitary
+from .operator_space import CHUNK_ENTRIES, RandomSeed, haar_unitary
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,13 @@ def haar_average_analytic(alg: OperatorAlgebra) -> float:
     return (d * d - k) * (k - 1) / (k * (d * d - 1))
 
 
-#: Complex entries per stack of sampled unitaries (4 MB), so a chunk of
-#: samples shares one batched realignment while memory stays bounded.
-_CHUNK_ENTRIES = 2**18
-
-
 def _sample_values(alg: OperatorAlgebra, n: int, seed: RandomSeed) -> np.ndarray:
-    """Anti-correlators of the ``n`` Haar unitaries ``haar_unitary(d, seed.child(i))``."""
+    """Anti-correlators of the ``n`` Haar unitaries ``haar_unitary(d, seed.child(i))``,
+    in chunks of about ``CHUNK_ENTRIES`` entries of sampled unitaries, so a
+    chunk of samples shares one batched realignment while memory stays
+    bounded."""
     d = alg.dim
-    chunk = max(1, _CHUNK_ENTRIES // (d * d))
+    chunk = max(1, CHUNK_ENTRIES // (d * d))
     totals = [
         _realigned_sums(
             alg,

@@ -8,6 +8,8 @@ commutant solving depends on this convention.
 
 Rank and subspace decisions use the relative singular-value threshold
 ``RANK_TOL``; end-to-end equality checks use the looser ``ASSERT_TOL``.
+Inputs whose working set would exceed ``MEMORY_BUDGET`` bytes are refused
+(``require_memory``) before anything of their size is allocated.
 Random sampling draws Gaussian variates by Box-Muller from a seeded
 counter-based (Philox) generator, so every ``(seed, stream)`` pair maps to
 one reproducible draw.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +29,20 @@ from .errors import ShapeError, ValidationError
 RANK_TOL = 1e-10
 #: Looser tolerance for end-to-end equality assertions.
 ASSERT_TOL = 1e-8
+#: Largest working set, in bytes, that one input may need (4 GiB).
+MEMORY_BUDGET = 2**32
+#: Complex entries per chunk of a batched or streamed computation (4 MB).
+CHUNK_ENTRIES = 2**18
+
+
+def require_memory(estimate: int, what: str) -> None:
+    """Refuse, with ``ShapeError``, an input whose working set ``estimate``
+    (bytes) exceeds ``MEMORY_BUDGET``; callers check before they allocate."""
+    if estimate > MEMORY_BUDGET:
+        raise ShapeError(
+            f"{what} needs about {estimate:,} bytes, above the memory budget of "
+            f"{MEMORY_BUDGET:,} bytes"
+        )
 
 
 def as_operator(x, name: str = "operator") -> np.ndarray:
@@ -90,6 +106,30 @@ def _unstack_vecs(flat: np.ndarray, d: int) -> np.ndarray:
     return flat.reshape(-1, d, d).transpose(0, 2, 1)
 
 
+def _streamed_r(blocks: Iterable[np.ndarray], ncols: int) -> np.ndarray:
+    """Triangular factor ``R`` of the row stack of ``blocks`` (each of shape
+    ``(rows, ncols)``), folded in one block at a time.
+
+    Sequential TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput.
+    34, 2012): ``R`` has the singular values and right singular vectors of
+    the whole stack, but at most ``ncols`` rows, so only ``R`` and one block
+    are ever held.  Callers size their blocks to about ``CHUNK_ENTRIES``.
+    """
+    r = np.zeros((0, ncols), dtype=complex)
+    for block in blocks:
+        r = np.linalg.qr(np.concatenate([r, block]), mode="r")
+    return r
+
+
+def _row_basis(rows: np.ndarray, d: int, tol: float) -> np.ndarray:
+    """Orthonormal basis (shape ``(r, d, d)``) of the row space of column-stacked
+    vectors, cut at ``tol * sigma_max``; a zero matrix gives an empty basis."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    smax = s[0] if s.size else 0.0
+    r = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
+    return _unstack_vecs(vh[:r], d)
+
+
 def orthonormalize(vectors, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (shape ``(r, d, d)``) of the span of the given matrices.
 
@@ -105,11 +145,7 @@ def orthonormalize(vectors, tol: float = RANK_TOL) -> np.ndarray:
     for m in mats:
         if m.shape[0] != d:
             raise ShapeError("all matrices must share one dimension")
-    flat = _stack_vecs(np.stack(mats))
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
-    return _unstack_vecs(vh[:r], d)
+    return _row_basis(_stack_vecs(np.stack(mats)), d, tol)
 
 
 def nullspace(m, tol: float = RANK_TOL, scale_floor: float = 0.0) -> np.ndarray:

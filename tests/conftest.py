@@ -1,9 +1,23 @@
 from __future__ import annotations
 
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from scramble import AlgebraDescriptor, RandomSeed, build_algebra, haar_unitary
+from scramble import (
+    MEMORY_BUDGET,
+    AlgebraDescriptor,
+    BlockStructure,
+    OperatorAlgebra,
+    RandomSeed,
+    build_algebra,
+    haar_unitary,
+)
+
+#: The refusal of an input above the memory budget names both numbers.
+BUDGET_MESSAGE = rf"needs about [\d,]+ bytes, above the memory budget of {MEMORY_BUDGET:,} bytes"
 
 BELL_COLUMNS = np.array(
     [
@@ -93,5 +107,51 @@ def planted_generators(d: int, seed: int) -> tuple[list[np.ndarray], list[tuple[
     return [basis_change @ g @ basis_change.conj().T for g in gens], pairs
 
 
+def _units(k: int) -> np.ndarray:
+    units = np.zeros((k * k, k, k), dtype=complex)
+    units[np.arange(k * k), np.repeat(np.arange(k), k), np.tile(np.arange(k), k)] = 1.0
+    return units
+
+
+def planted_algebra(pairs, frame: np.ndarray) -> OperatorAlgebra:
+    """``frame (⊕_J 1_{n_J} (x) M_{d_J}) frame^dag`` with its commutant and center."""
+    pairs = sorted(pairs, key=lambda p: (-p[1], -p[0]))
+    d = sum(n * dj for n, dj in pairs)
+    basis_a, basis_ap, projections = [], [], []
+
+    def embed(local, sl):
+        full = np.zeros((d, d), dtype=complex)
+        full[sl, sl] = local
+        return frame @ full @ frame.conj().T
+
+    offset = 0
+    for n, dj in pairs:
+        sl = slice(offset, offset + n * dj)
+        basis_a += [embed(np.kron(np.eye(n), u) / np.sqrt(n), sl) for u in _units(dj)]
+        basis_ap += [embed(np.kron(u, np.eye(dj)) / np.sqrt(dj), sl) for u in _units(n)]
+        projections.append(embed(np.eye(n * dj), sl))
+        offset += n * dj
+    return OperatorAlgebra(
+        dim=d,
+        basis_a=np.stack(basis_a),
+        basis_aprime=np.stack(basis_ap),
+        center_projections=np.stack(projections),
+        blocks=BlockStructure(tuple(pairs)),
+    )
+
+
 def unitary(d: int, seed: int, stream: int = 0) -> np.ndarray:
     return haar_unitary(d, RandomSeed(seed, stream))
+
+
+@contextmanager
+def traced_peak():
+    """Yields a list that receives the peak, in bytes, of the allocations
+    traced while the block ran."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()

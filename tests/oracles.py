@@ -3,11 +3,12 @@
 
 Each oracle computes its quantity the long way, through a d^2 x d^2
 superoperator, a doubled-space carrier, an explicit block frame, the
-commutant-basis overlap matrix, a projector stack, an elementwise
-contraction, a per-time-point loop, a pair-sum grouping of the spectrum or a
-second algebraic form, independently of the production route it checks.  None of them has a dimension cap; the
-superoperator and doubled-space routes hold d^4 complex numbers, so callers
-keep d small.
+commutant-basis overlap matrix, a projector stack, a one-shot stack of
+commutator maps or products, an elementwise contraction, a per-time-point
+loop, a pair-sum grouping of the spectrum or a second algebraic form,
+independently of the production route it checks.  None of them has a
+dimension cap; the superoperator, doubled-space and stacked routes hold d^4
+or more complex numbers, so callers keep d small.
 """
 
 from __future__ import annotations
@@ -331,6 +332,32 @@ def center_projector_stack(basis_a, basis_ap, tol: float) -> np.ndarray:
     eye = np.eye(d * d)
     cols = nullspace(np.concatenate([eye - va @ va.conj().T, eye - vp @ vp.conj().T]), tol)
     return np.stack([cols[:, j].reshape(d, d, order="F") for j in range(cols.shape[1])])
+
+
+def commutant_stack(alg_basis, tol: float = RANK_TOL) -> np.ndarray:
+    """Commutant basis from one SVD of the stacked ``(k d^2, d^2)`` commutator
+    maps ``kron(b.T, 1) - kron(1, b)``."""
+    basis = np.asarray(alg_basis, dtype=complex)
+    d = basis.shape[-1]
+    eye = np.eye(d)
+    stacked = np.concatenate([np.kron(b.T, eye) - np.kron(eye, b) for b in basis])
+    cols = nullspace(stacked, tol, scale_floor=1.0)
+    return np.stack([unvec(cols[:, j], d) for j in range(cols.shape[1])]) \
+        if cols.shape[1] else np.zeros((0, d, d), dtype=complex)
+
+
+def closure_stack(generators, tol: float = RANK_TOL) -> np.ndarray:
+    """Span closure that orthonormalizes the basis with all ``k^2`` of its
+    products in one stack per round."""
+    mats = [as_operator(g) for g in generators]
+    d = mats[0].shape[0]
+    basis = orthonormalize(mats + [m.conj().T for m in mats] + [np.eye(d, dtype=complex)], tol)
+    while True:
+        products = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, d, d)
+        grown = orthonormalize(np.concatenate([basis, products]), tol)
+        if grown.shape[0] == basis.shape[0]:
+            return grown
+        basis = grown
 
 
 # ---------------------------------------------------------------- dynamics

@@ -214,7 +214,8 @@ def test_criterion_7_saturation_certificates():
 
     bell_model = analyze_hamiltonian((BELL_COLUMNS * NRC_SPECTRUM) @ BELL_COLUMNS.T)
     masa_model = analyze_hamiltonian(np.diag(NRC_SPECTRUM))
-    # witness 0 <=> the infinite-time formula saturates its collinear bound
+    # witness 0 => the infinite-time formula takes its fully scrambled value;
+    # the converse is false, and that value is not an upper bound
     assert scrambling_witness(bipartite, bell_model) < 1e-8
     assert abs(time_average_nrc(bipartite, bell_model) - nrc_upper_bound(bipartite)) < 1e-9
     assert scrambling_witness(masa4, masa_model) > 1e-3

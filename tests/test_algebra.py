@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scramble import (
+    RANK_TOL,
     AlgebraDescriptor,
     DecompositionError,
     ShapeError,
@@ -20,7 +21,8 @@ from scramble import (
     swap_operator,
     verification_residuals,
 )
-from conftest import planted_generators, unitary
+from scramble.algebra import _named_generator_basis, _require_build_memory
+from conftest import BUDGET_MESSAGE, planted_generators, traced_peak, unitary
 from oracles import (
     block_basis_rotation,
     omega_operators,
@@ -399,3 +401,48 @@ def test_block_decomposition_refuses_empty_basis():
     for pair in ((basis, empty), (empty, basis)):
         with pytest.raises(DecompositionError):
             block_decomposition(*pair)
+
+
+
+def test_commutant_streams_its_maps():
+    # the (64 d^2, d^2) stack of commutator maps alone would take 67 MB
+    basis = _named_generator_basis(AlgebraDescriptor.factor(8, 2), RANK_TOL)
+    with traced_peak() as peak:
+        result = commutant(basis)
+    assert result.shape == (4, 16, 16)
+    assert peak[0] < 32 * 2**20
+
+
+def test_closure_streams_its_products():
+    # one round's (k^2, d^2) product stack at k = d^2 = 144 would take 48 MB
+    rng = np.random.default_rng(1212)
+    gens = [rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)) for _ in range(2)]
+    with traced_peak() as peak:
+        result = algebra_closure(gens)
+    assert result.shape == (144, 12, 12)
+    assert peak[0] < 32 * 2**20
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        AlgebraDescriptor.diagonal(100000),
+        AlgebraDescriptor.factor(1000, 1000),
+        AlgebraDescriptor.factor(100, 1, side="B"),
+        AlgebraDescriptor.symmetric_swap(1000),
+        AlgebraDescriptor.group_z2(1000),
+        AlgebraDescriptor.loschmidt(np.eye(200)[0]),
+        AlgebraDescriptor.generators([np.eye(200, dtype=complex)]),
+    ],
+    ids=lambda desc: desc.kind,
+)
+def test_build_refuses_oversized_dimension_before_allocating(desc):
+    with traced_peak() as peak, pytest.raises(ShapeError, match=BUDGET_MESSAGE):
+        build_algebra(desc)
+    assert peak[0] < 2**20
+
+
+def test_build_memory_budget_admits_dimension_64():
+    _require_build_memory(64)
+    with pytest.raises(ShapeError, match=BUDGET_MESSAGE):
+        _require_build_memory(69)

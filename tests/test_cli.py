@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scramble import (
 )
 from scramble import cli
 from scramble.cli import main
-from conftest import BELL_COLUMNS
+from conftest import BELL_COLUMNS, BUDGET_MESSAGE, traced_peak
 from oracles import gaac_distance_oracle, gaac_omega_oracle
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -469,3 +470,26 @@ def test_error_classes_map_to_exit_codes(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "run_inspect", fail)
     assert main(["inspect", "--algebra", "masa_2"]) == code
     assert capsys.readouterr().err == "error: boom\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chaos", "--algebra", "masa_2", "--hamiltonian", "{big}"],
+        ["time-average", "--algebra", "masa_2", "--hamiltonian", "{big}"],
+        ["inspect", "--algebra", "{diagonal}"],
+    ],
+    ids=["chaos", "time-average", "inspect"],
+)
+def test_oversized_input_exits_2_before_allocating(tmp_path, capsys, argv):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"gue": 100000, "seed": 1}))
+    diagonal = tmp_path / "diagonal.json"
+    diagonal.write_text(json.dumps({"kind": "diagonal", "params": {"dim": 100000}}))
+    argv = [a.format(big=big, diagonal=diagonal) for a in argv]
+    with traced_peak() as peak:
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert re.search(BUDGET_MESSAGE, err) and "Traceback" not in err
+    assert peak[0] < 2**20

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from scramble import (
     DomainError,
     RandomSeed,
     UndefinedMetricError,
+    ShapeError,
     ValidationError,
     analyze_hamiltonian,
     build_algebra,
@@ -28,7 +31,8 @@ from scramble import (
     time_average_exact,
     time_average_nrc,
 )
-from conftest import BELL_COLUMNS, NRC_SPECTRUM, planted_generators
+from scramble.dynamics import _require_spectral_memory
+from conftest import BELL_COLUMNS, BUDGET_MESSAGE, NRC_SPECTRUM, planted_generators, traced_peak
 from oracles import time_average_collinear
 
 
@@ -66,6 +70,43 @@ def test_resonance_classes_partition_all_pairs():
 def test_near_resonance_warns():
     with pytest.warns(UserWarning):
         analyze_hamiltonian(np.diag([0.0, 1.0, 2.0 + 3e-8]))
+
+
+def test_near_resonance_window_follows_mean_level_spacing():
+    # range 3 over d = 4 levels: mean spacing 1; the gaps 1 - delta, 1 and
+    # 1 + delta are distinct classes 1e-8 of the mean spacing apart
+    delta = 1e-8
+    with pytest.warns(UserWarning, match="near-resonant"):
+        model = analyze_hamiltonian(np.diag([0.0, 1.0, 2.0 - delta, 3.0]))
+    assert model.nrc
+
+
+def test_gue_64_has_no_near_resonance():
+    # the range-scaled window caught 8 ordinary gaps of this draw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = analyze_hamiltonian(gue_hamiltonian(64, RandomSeed(6464)))
+    assert model.nrc
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: hamiltonian_from_json({"gue": 100000, "seed": 1}),
+        lambda: gue_hamiltonian(100000, RandomSeed(1)),
+    ],
+    ids=["json", "library"],
+)
+def test_oversized_gue_refused_before_drawing(refused):
+    with traced_peak() as peak, pytest.raises(ShapeError, match=BUDGET_MESSAGE):
+        refused()
+    assert peak[0] < 2**20
+
+
+def test_spectral_memory_budget_admits_dimension_64():
+    _require_spectral_memory(64)
+    with pytest.raises(ShapeError, match=BUDGET_MESSAGE):
+        _require_spectral_memory(100000)
 
 
 def test_non_hermitian_rejected():

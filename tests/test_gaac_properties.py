@@ -11,13 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scramble import (
-    BlockStructure,
-    OperatorAlgebra,
-    RandomSeed,
-    gaac,
-    haar_unitary,
-)
+from scramble import RandomSeed, gaac, haar_unitary
+from conftest import planted_algebra
 
 PAIR = st.tuples(st.integers(1, 4), st.integers(1, 4))
 PATTERN = st.lists(PAIR, min_size=1, max_size=4).filter(
@@ -25,39 +20,6 @@ PATTERN = st.lists(PAIR, min_size=1, max_size=4).filter(
 )
 SEED = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=40, deadline=None)
-
-
-def _units(k: int) -> np.ndarray:
-    units = np.zeros((k * k, k, k), dtype=complex)
-    units[np.arange(k * k), np.repeat(np.arange(k), k), np.tile(np.arange(k), k)] = 1.0
-    return units
-
-
-def planted_algebra(pairs, frame: np.ndarray) -> OperatorAlgebra:
-    """``frame (⊕_J 1_{n_J} (x) M_{d_J}) frame^dag`` with its commutant and center."""
-    pairs = sorted(pairs, key=lambda p: (-p[1], -p[0]))
-    d = sum(n * dj for n, dj in pairs)
-    basis_a, basis_ap, projections = [], [], []
-
-    def embed(local, sl):
-        full = np.zeros((d, d), dtype=complex)
-        full[sl, sl] = local
-        return frame @ full @ frame.conj().T
-
-    offset = 0
-    for n, dj in pairs:
-        sl = slice(offset, offset + n * dj)
-        basis_a += [embed(np.kron(np.eye(n), u) / np.sqrt(n), sl) for u in _units(dj)]
-        basis_ap += [embed(np.kron(u, np.eye(dj)) / np.sqrt(dj), sl) for u in _units(n)]
-        projections.append(embed(np.eye(n * dj), sl))
-        offset += n * dj
-    return OperatorAlgebra(
-        dim=d,
-        basis_a=np.stack(basis_a),
-        basis_aprime=np.stack(basis_ap),
-        center_projections=np.stack(projections),
-        blocks=BlockStructure(tuple(pairs)),
-    )
 
 
 def _draw(pairs, seed: int):

@@ -84,7 +84,7 @@ def test_mc_deterministic_and_worker_independent(masa4, monkeypatch):
     assert one.mc_mean == pytest.approx(np.mean(values), abs=1e-15)
     assert one.mc_std == pytest.approx(np.std(values, ddof=1), abs=1e-15)
     # chunks of 3 samples, the last one short
-    monkeypatch.setattr("scramble.haar._CHUNK_ENTRIES", 3 * masa4.dim**2)
+    monkeypatch.setattr("scramble.haar.CHUNK_ENTRIES", 3 * masa4.dim**2)
     chunked = haar_average_mc(masa4, 50, RandomSeed(2718))
     assert chunked.mc_mean == pytest.approx(np.mean(values), abs=1e-15)
     assert chunked.mc_std == pytest.approx(np.std(values, ddof=1), abs=1e-15)

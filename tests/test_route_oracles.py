@@ -1,10 +1,11 @@
-"""The gap-class exact time average, the spectral-kernel grids, the
-block-frame GAAC with its saturation residual and Monte-Carlo samples (on
-each algebra and its commutant view), the overlap matrix, the center basis
-and the scrambling witness against their kernel, doubled-space,
-superoperator, overlap, contraction, projector-stack and loop reference
-routes, including dimensions above 16.  The time-average oracles group the
-spectrum by pair sums, independently of the production gap classes."""
+"""The streamed commutant and span closure, the gap-class exact time
+average, the spectral-kernel grids, the block-frame GAAC with its saturation
+residual and Monte-Carlo samples (on each algebra and its commutant view),
+the overlap matrix, the center basis and the scrambling witness against
+their one-shot stack, kernel, doubled-space, superoperator, overlap,
+contraction, projector-stack and loop reference routes, including
+dimensions above 16.  The time-average oracles group the spectrum by pair
+sums, independently of the production gap classes."""
 
 from __future__ import annotations
 
@@ -19,8 +20,10 @@ from scramble import (
     RANK_TOL,
     AlgebraDescriptor,
     RandomSeed,
+    algebra_closure,
     analyze_hamiltonian,
     build_algebra,
+    commutant,
     commutant_algebra,
     fluctuation_scan,
     gaac,
@@ -33,7 +36,7 @@ from scramble import (
     time_average_nrc,
     upper_bound,
 )
-from scramble.algebra import _center_basis
+from scramble.algebra import _center_basis, _named_generator_basis
 from scramble.haar import _sample_values
 from conftest import planted_generators, unitary
 from oracles import (
@@ -41,6 +44,8 @@ from oracles import (
     _residual_from_overlaps,
     _two_point_value,
     center_projector_stack,
+    closure_stack,
+    commutant_stack,
     evolution_values,
     kernel_time_average,
     omega_time_average,
@@ -54,6 +59,13 @@ TOL = 1e-12
 
 FIXTURES = ["masa2", "masa4", "bipartite22", "z2_local2", "symmetric_local2", "loschmidt4"]
 PLANTED = [(3, 11), (5, 12), (6, 13), (7, 14)]
+NAMED = {
+    "diagonal(20)": AlgebraDescriptor.diagonal(20),
+    "factor(8,2)": AlgebraDescriptor.factor(8, 2),
+    "factor(4,4)": AlgebraDescriptor.factor(4, 4),
+    "symmetric_swap(3)": AlgebraDescriptor.symmetric_swap(3),
+    "group_z2(4)": AlgebraDescriptor.group_z2(4),
+}
 SPECTRA = ["generic", "resonant", "degenerate"]
 
 
@@ -123,6 +135,46 @@ def subspace_gap(basis, reference) -> float:
     """Sine of the largest principal angle between two equal-dimensional spans."""
     flat, ref = basis.reshape(len(basis), -1), reference.reshape(len(reference), -1)
     return float(np.linalg.norm(flat - (flat @ ref.conj().T) @ ref, 2))
+
+
+def assert_same_span(basis, reference) -> None:
+    assert basis.shape == reference.shape
+    flat = basis.reshape(len(basis), -1)
+    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(len(flat))), initial=0.0) <= TOL
+    assert subspace_gap(basis, reference) <= TOL
+
+
+def check_commutant_and_closure(basis_a, generators) -> None:
+    """The streamed commutant of ``basis_a`` and the streamed closure of
+    ``generators`` against their one-shot stacks."""
+    assert_same_span(commutant(basis_a), commutant_stack(basis_a))
+    assert_same_span(algebra_closure(generators), closure_stack(generators))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_fixture_commutant_and_closure_match_stacks(fixture, request):
+    alg = request.getfixturevalue(fixture)
+    check_commutant_and_closure(alg.basis_a, alg.basis_a)
+
+
+@pytest.mark.parametrize("d,seed", PLANTED)
+def test_planted_commutant_and_closure_match_stacks(d, seed):
+    gens, _ = planted_generators(d, 9100 + seed)
+    check_commutant_and_closure(algebra_closure(gens), gens)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_commutant_and_closure_match_stacks(name):
+    basis = _named_generator_basis(NAMED[name], RANK_TOL)
+    check_commutant_and_closure(basis, basis)
+
+
+def test_closure_of_random_generators_matches_stack():
+    rng = np.random.default_rng(606)
+    gens = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(2)]
+    basis = algebra_closure(gens)
+    assert basis.shape == (36, 6, 6)
+    assert_same_span(basis, closure_stack(gens))
 
 
 def check_center_and_overlaps(alg, seed: int) -> None:
