@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     DecompositionError,
-    DegeneracyError,
     DomainError,
     ScrambleError,
     ShapeError,
@@ -29,15 +28,12 @@ from .operator_space import (
     hs_inner,
     hs_norm,
     is_hermitian,
-    is_projection,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
     nullspace,
     orthonormalize,
-    permute_factors,
     swap_operator,
-    vec,
 )
 from .algebra import (
     ALGEBRA_KINDS,
@@ -45,7 +41,6 @@ from .algebra import (
     BlockStructure,
     OperatorAlgebra,
     algebra_closure,
-    block_decomposition,
     build_algebra,
     commutant,
     commutant_algebra,
@@ -56,7 +51,6 @@ from .gaac import (
     CLOSED_FORM_CASES,
     ClosedFormCase,
     GaacReport,
-    bipartite_swap,
     closed_form,
     gaac,
     saturation_residual,

@@ -6,6 +6,11 @@ the block structure: the Hilbert space splits into orthogonal blocks
 ``C^{n_J} (x) C^{d_J}`` (commutant factor first) on which the algebra acts
 as ``1_{n_J} (x) L(C^{d_J})``.  Consequently ``d = sum n_J d_J``,
 ``dim A = sum d_J^2`` and ``dim A' = sum n_J^2``.
+
+One route finds that structure: the block frame ``V`` with
+``V^dag A V = ⊕_J 1_{n_J} (x) M_{d_J}`` is read off two random elements of
+the algebra and certified against every basis element (``_block_frame``);
+the central projections are ``V_J V_J^dag``.
 """
 
 from __future__ import annotations
@@ -19,12 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DecompositionError,
-    DegeneracyError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import DecompositionError, ShapeError, ValidationError
 from .operator_space import (
     ASSERT_TOL,
     CHUNK_ENTRIES,
@@ -32,7 +32,6 @@ from .operator_space import (
     RandomSeed,
     as_operator,
     gaussian_variates,
-    group_by_gaps,
     hs_norm,
     is_finite_real,
     matrix_from_json,
@@ -48,14 +47,8 @@ from .operator_space import (
     _unstack_vecs,
 )
 
-#: Module seed for center-witness sampling; fixed so decompositions are
-#: deterministic across runs.
-_WITNESS_SEED = RandomSeed(0x5EEDB10C, 0)
-
-_MAX_WITNESS_ATTEMPTS = 8
-_INTEGER_GUARD = 1e-6
-
-#: Module seed of the random algebra elements that align the block frame.
+#: Module seed of the random algebra elements that give the block frame;
+#: fixed so decompositions are deterministic across runs.
 _FRAME_SEED = RandomSeed(0x5EEDB10C, 2000)
 _MAX_FRAME_ATTEMPTS = 4
 
@@ -140,8 +133,8 @@ class BlockStructure:
     """Multiset ``{(n_J, d_J)}`` of block dimensions with derived quantities.
 
     ``pairs`` is ordered by descending ``d_J``, then descending ``n_J``, then
-    ascending trace of the central witness used during decomposition, which
-    makes reports stable across runs.
+    by the lowest eigenvalue, on the block, of the random hermitian element
+    that gave the block frame, which makes reports stable across runs.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -198,7 +191,8 @@ class OperatorAlgebra:
 
     ``basis_a`` and ``basis_aprime`` are orthonormal bases (arrays of shape
     ``(k, d, d)``); ``center_projections`` holds the minimal central
-    projections, ordered like ``blocks.pairs``.
+    projections, ordered like ``blocks.pairs``.  ``block_frame`` is set by
+    ``build_algebra``, or derived from ``basis_a`` on first use.
     """
 
     dim: int
@@ -217,12 +211,14 @@ class OperatorAlgebra:
 
     @functools.cached_property
     def block_frame(self) -> BlockFrame:
-        """Block frame derived from ``center_projections``, ``basis_a`` and
-        ``blocks.pairs`` on first use (see ``BlockFrame``)."""
-        return _block_frame(self.basis_a, self.center_projections, self.blocks.pairs)
-
-    def fingerprint(self) -> str:
-        return self.blocks.fingerprint()
+        """The frame ``V`` of ``basis_a`` (see ``BlockFrame``); refused when its
+        block pattern is not ``blocks.pairs``."""
+        blocks, frame = _block_frame(self.basis_a)
+        if blocks.pairs != self.blocks.pairs:
+            raise DecompositionError(
+                f"the basis has the block pattern {blocks.pairs}, not {self.blocks.pairs}"
+            )
+        return frame
 
 
 def algebra_closure(generators: Sequence, tol: float = RANK_TOL) -> np.ndarray:
@@ -299,194 +295,120 @@ def project_onto(basis, x) -> np.ndarray:
     return np.einsum("k,kij->ij", coeffs, basis)
 
 
-def _center_basis(basis_a: np.ndarray, basis_ap: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the center ``Z = A ∩ A'``, built from the smaller span.
+def _align_block(cols: np.ndarray, zb: np.ndarray, n: int, dj: int) -> np.ndarray | None:
+    """One block's columns in ``C^n (x) C^dj`` order (column ``a * dj + i``:
+    commutant index ``a``, algebra index ``i``), or ``None`` for a draw that is
+    not generic enough.
 
-    With ``S`` the smaller of the two bases (``m`` elements), the center is
-    ``coeffs.T · S`` for the nullspace ``coeffs`` of the ``(d^2, m)`` map whose
-    column ``a`` is ``s_a`` minus its projection onto the larger span.  The
-    singular values of that map are the sines of the principal angles between
-    the spans: 0 on ``Z`` and 1 elsewhere for an algebra pair, because
-    ``A ⊖ Z`` is orthogonal to ``A'``.  The result is orthonormal because
-    ``S`` and the coefficient columns are.
+    ``cols`` holds the block's ``dj`` levels ``E_i`` of ``y = 1 (x) Y``, ``n``
+    eigenvectors each, so ``E_i = C^n (x) |i>`` up to a unitary ``X_i``; ``zb``
+    is ``z`` in those columns.  ``E_1^dag z E_i = Z_1i X_1^dag X_i`` is a multiple
+    of a unitary, and ``E_i (E_1^dag z E_i)^dag`` rotates ``E_i`` onto ``X_1``.
     """
-    small, large = (basis_a, basis_ap) if len(basis_a) <= len(basis_ap) else (basis_ap, basis_a)
-    flat = small.reshape(len(small), -1)
-    other = large.reshape(len(large), -1)
-    outside = flat - (flat @ other.conj().T) @ other
-    # when S lies inside the larger span (an abelian A) the map is pure
-    # rounding, and the floor keeps that noise from passing as non-central
-    coeffs = nullspace(outside.T, tol, scale_floor=1.0)
-    return np.tensordot(coeffs.T, small, axes=1)
-
-
-def block_decomposition(
-    basis_a, basis_aprime, tol: float = RANK_TOL
-) -> tuple[BlockStructure, np.ndarray]:
-    """Minimal central projections and block dimensions of an algebra pair.
-
-    The center is the intersection of the two spans.  A random hermitian
-    center element (the witness) is eigendecomposed and its eigenvalues
-    grouped; minimality is verified by requiring as many blocks as the
-    center dimension, with bounded resampling on collisions (fewer groups).
-    More groups than the center dimension fail at once: the spans are not
-    closed under multiplication.  Per block,
-    ``d_J`` is recovered from the rank of the compressed algebra and
-    ``n_J`` from the block size, with integer-consistency guards that
-    reject inputs which are not *-algebras at the working tolerance.
-    """
-    basis_a = np.asarray(basis_a, dtype=complex)
-    basis_ap = np.asarray(basis_aprime, dtype=complex)
-    if basis_a.ndim != 3 or basis_ap.ndim != 3 or basis_a.shape[-1] != basis_ap.shape[-1]:
-        raise ShapeError("algebra and commutant bases must share one dimension")
-    if basis_a.shape[0] == 0 or basis_ap.shape[0] == 0:
-        raise DecompositionError(
-            f"empty basis (dim A = {basis_a.shape[0]}, dim A' = {basis_ap.shape[0]}); "
-            "the rank tolerance leaves no span"
-        )
-    d = basis_a.shape[-1]
-
-    center = _center_basis(basis_a, basis_ap, tol)
-    z = center.shape[0]
-    if z == 0:
-        raise DecompositionError("empty center; the input spans are not a unital algebra pair")
-
-    witness = None
-    groups = None
-    for attempt in range(_MAX_WITNESS_ATTEMPTS):
-        draw = gaussian_variates(2 * z, _WITNESS_SEED.child(attempt))
-        coeffs = draw[:z] + 1j * draw[z:]
-        sample = np.einsum("k,kij->ij", coeffs, center)
-        sample = (sample + sample.conj().T) / 2.0
-        evals, evecs = np.linalg.eigh(sample)
-        spread = float(evals[-1] - evals[0])
-        # floor at the RMS eigenvalue scale so a flat spectrum (trivial
-        # center) groups rounding noise into a single block
-        rms = float(np.linalg.norm(evals)) / np.sqrt(len(evals))
-        candidate = group_by_gaps(evals, 1e-8 * max(spread, rms))
-        if len(candidate) > z:
-            # a collision can only merge blocks; more groups than the center
-            # dimension means the center is not an algebra, so no redraw helps
-            raise DecompositionError(
-                f"center witness has {len(candidate)} eigenvalue groups but the center "
-                f"has dimension {z}; the spans are not closed under multiplication "
-                "at tolerance"
-            )
-        if len(candidate) == z:
-            witness = sample
-            groups = [(evecs[:, g]) for g in candidate]
-            break
-    if witness is None:
-        raise DegeneracyError(
-            f"center witness failed to separate {z} blocks in {_MAX_WITNESS_ATTEMPTS} draws"
-        )
-
-    raw = []
-    for cols in groups:
-        proj = cols @ cols.conj().T
-        size = cols.shape[1]
-        compressed = proj @ basis_a @ proj
-        rank = orthonormalize(compressed, tol).shape[0]
-        dj = np.sqrt(rank)
-        if abs(dj - round(dj)) > _INTEGER_GUARD:
-            raise DecompositionError(
-                f"compressed block rank {rank} is not a perfect square; "
-                "input is not a *-algebra at tolerance"
-            )
-        dj = int(round(dj))
-        if size % dj != 0:
-            raise DecompositionError(
-                f"block size {size} not divisible by inner dimension {dj}"
-            )
-        n = size // dj
-        raw.append(((n, dj), float(np.trace(proj @ witness).real), proj))
-
-    raw.sort(key=lambda item: (-item[0][1], -item[0][0], item[1]))
-    pairs = tuple(item[0] for item in raw)
-    projections = np.stack([item[2] for item in raw])
-    blocks = BlockStructure(pairs)
-
-    if blocks.dim != d:
-        raise DecompositionError(f"block dimensions {pairs} do not add up to {d}")
-    if blocks.dim_a != basis_a.shape[0] or blocks.dim_aprime != basis_ap.shape[0]:
-        raise DecompositionError(
-            "block dimension accounting disagrees with the basis cardinalities"
-        )
-    return blocks, projections
-
-
-def _align_block(yb: np.ndarray, zb: np.ndarray, n: int, dj: int) -> np.ndarray | None:
-    """Unitary taking one block of size ``n * dj`` to ``C^n (x) C^dj``, from
-    the compressions ``yb`` (hermitian) and ``zb`` of two random algebra
-    elements; ``None`` when the draw is not generic enough.
-
-    ``yb = 1 (x) Y`` has ``dj`` eigenspaces ``E_i`` of size ``n``, each equal to
-    ``C^n (x) |i>`` up to its own unitary ``X_i``.  Then ``E_1^dag zb E_i =
-    Z_1i X_1^dag X_i`` is a scalar multiple of a unitary intertwiner, and
-    ``E_i (E_1^dag zb E_i)^dag`` rotates every ``E_i`` onto ``X_1`` up to a phase.
-    """
-    evals, evecs = np.linalg.eigh(yb)
-    levels = evals.reshape(dj, n)
-    spread = float(np.max(levels[:, -1] - levels[:, 0]))
-    gap = float(np.min(levels[1:, 0] - levels[:-1, -1]))
-    if not spread <= 1e-6 * gap:
-        return None
-    spaces = evecs.reshape(-1, dj, n).transpose(1, 0, 2)  # E_i, shape (dj, m, n)
-    links = spaces[0].conj().T @ zb @ spaces[1:]  # E_1^dag zb E_i for i >= 2
+    spaces = cols.reshape(-1, dj, n).transpose(1, 0, 2)  # E_i, shape (dj, d, n)
+    links = zb.reshape(dj, n, dj, n)[0, :, 1:].transpose(1, 0, 2)  # E_1^dag z E_i, i >= 2
     scales = np.sqrt(np.einsum("iab,iab->i", links.conj(), links).real / n)
-    if not np.min(scales) > 1e-6 * np.linalg.norm(zb):
+    if not np.all(scales > 1e-6 * np.linalg.norm(zb)):
         return None
     links /= scales[:, None, None]
-    if np.max(np.abs(links @ links.conj().swapaxes(1, 2) - np.eye(n))) > 1e-6:
-        return None
     aligned = np.concatenate([spaces[:1], spaces[1:] @ links.conj().swapaxes(1, 2)])
-    return aligned.transpose(1, 2, 0).reshape(n * dj, n * dj)
+    return aligned.transpose(1, 2, 0).reshape(-1, n * dj)
 
 
-def _block_frame(basis_a: np.ndarray, projections: np.ndarray, pairs) -> BlockFrame:
-    d = basis_a.shape[-1]
-    sizes = [n * dj for n, dj in pairs]
-    if len(projections) != len(pairs) or sum(sizes) != d:
-        raise DecompositionError(
-            f"{len(projections)} center projections do not fit the blocks {pairs}"
-        )
-    # the label operator sum_J J P_J has eigenvalue J on block J, so one
-    # eigendecomposition splits the space into the blocks in pairs order
-    labels = np.repeat(np.arange(len(pairs), dtype=float), sizes)
-    evals, frame = np.linalg.eigh(np.tensordot(np.arange(len(pairs)), projections, axes=1))
-    if np.max(np.abs(evals - labels)) > 0.25:
-        raise DecompositionError(
-            f"center projections are not orthogonal projections of ranks {sizes}"
-        )
-    starts = np.cumsum([0] + sizes)
-    mixed = [j for j, (n, dj) in enumerate(pairs) if n > 1 and dj > 1]
-    if mixed:
-        k = basis_a.shape[0]
-        for attempt in range(_MAX_FRAME_ATTEMPTS):
-            draw = gaussian_variates(4 * k, _FRAME_SEED.child(attempt))
-            y = np.tensordot(draw[:k] + 1j * draw[k : 2 * k], basis_a, axes=1)
-            z = np.tensordot(draw[2 * k : 3 * k] + 1j * draw[3 * k :], basis_a, axes=1)
-            y = (y + y.conj().T) / 2.0
-            local = []
-            for j in mixed:
-                q = frame[:, starts[j] : starts[j + 1]]
-                local.append(_align_block(q.conj().T @ y @ q, q.conj().T @ z @ q, *pairs[j]))
-            if all(rot is not None for rot in local):
-                break
-        else:
-            raise DecompositionError(
-                f"no block frame aligned in {_MAX_FRAME_ATTEMPTS} draws; "
-                "the input is not a *-algebra at tolerance"
-            )
-        for j, rot in zip(mixed, local):
-            frame[:, starts[j] : starts[j + 1]] = frame[:, starts[j] : starts[j + 1]] @ rot
-    runs, j = [], 0
+def _frame_residual(basis_a: np.ndarray, v: np.ndarray, pairs) -> float:
+    """Largest distance of ``V^dag b V`` from ``⊕_J 1_{n_J} (x) M_J`` over the
+    basis, ``M_J`` the mean of block ``J``'s diagonal sub-blocks; ``O(k d^3)``."""
+    d = v.shape[0]
+    step = max(1, CHUNK_ENTRIES // (d * d))
+    worst = 0.0
+    for s in range(0, basis_a.shape[0], step):
+        w = v.conj().T @ basis_a[s : s + step] @ v
+        offset = 0
+        for n, dj in pairs:
+            view = w[:, offset : offset + n * dj, offset : offset + n * dj]
+            mean = np.einsum("kaiaj->kij", view.reshape(-1, n, dj, n, dj)) / n
+            view -= np.einsum("ab,kij->kaibj", np.eye(n), mean).reshape(view.shape)
+            offset += n * dj
+        worst = max(worst, float(np.max(np.linalg.norm(w, axis=(1, 2)))))
+    return worst
+
+
+def _frame_from_draw(basis_a: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """Block pattern and frame read off one hermitian ``y`` and one ``z`` of the
+    algebra, or ``None`` when the draw does not certify."""
+    d = y.shape[0]
+    evals, evecs = np.linalg.eigh(y)
+    # levels split at 1e-8 of the spread, floored at the RMS eigenvalue scale
+    # so a flat spectrum (a trivial algebra) groups rounding noise as one level
+    rms = float(np.linalg.norm(evals)) / np.sqrt(d)
+    thresh = 1e-8 * max(float(evals[-1] - evals[0]), rms)
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(evals) > thresh) + 1, [d]])
+    sizes = np.diff(bounds)
+    coupled = evecs.conj().T @ z @ evecs
+    # weight[p, q] = ||E_p^dag z E_q||_F^2; z couples only levels of one block
+    weight = np.add.reduceat(np.abs(coupled) ** 2, bounds[:-1], axis=0)
+    weight = np.add.reduceat(weight, bounds[:-1], axis=1)
+    linked = weight + weight.T > (1e-6 * np.linalg.norm(z)) ** 2
+    np.fill_diagonal(linked, True)
+    for _ in range(sizes.size.bit_length()):  # until linked holds every chain
+        linked = linked.astype(float) @ linked > 0
+    label = np.argmax(linked, axis=1)  # the lowest level of each level's block
+    blocks = []
+    for root in np.unique(label):
+        members = np.flatnonzero(label == root)
+        n, dj = int(sizes[root]), members.size
+        if np.any(sizes[members] != n):
+            return None
+        cols = np.concatenate([np.arange(bounds[p], bounds[p + 1]) for p in members])
+        rotated = _align_block(evecs[:, cols], coupled[np.ix_(cols, cols)], n, dj)
+        if rotated is None:
+            return None
+        blocks.append(((n, dj), rotated))
+    # stable, so blocks of one shape keep the order of their lowest level
+    blocks.sort(key=lambda b: (-b[0][1], -b[0][0]))
+    pairs = tuple(pair for pair, _ in blocks)
+    v = np.concatenate([cols for _, cols in blocks], axis=1)
+    unitary_err = np.max(np.abs(v.conj().T @ v - np.eye(d)))
+    if unitary_err > ASSERT_TOL or _frame_residual(basis_a, v, pairs) > ASSERT_TOL:
+        return None
+    runs, start = [], 0
     for (n, dj), run in groupby(pairs):
         count = len(list(run))
-        runs.append((int(starts[j]), count, n, dj))
-        j += count
-    frame.setflags(write=False)
-    return BlockFrame(unitary=frame, runs=tuple(runs))
+        runs.append((start, count, n, dj))
+        start += count * n * dj
+    v.setflags(write=False)
+    return BlockStructure(pairs), BlockFrame(unitary=v, runs=tuple(runs))
+
+
+def _block_frame(basis_a) -> tuple[BlockStructure, BlockFrame]:
+    """Block pattern of the algebra spanned by ``basis_a`` and its frame ``V``.
+
+    After Murota, Kanno, Kojima & Kojima (Japan J. Indust. Appl. Math. 27,
+    2010): the eigenvalue levels of a random hermitian ``y`` of the span,
+    grouped at ``1e-8`` relative, are joined into blocks wherever a random
+    ``z`` couples them (``E^dag z E`` in ``y``'s eigenbasis), and ``z``'s
+    intertwiners align each block's levels.  The draw is certified when ``V``
+    is unitary and every basis element is ``1_{n_J} (x) M`` on each block and
+    zero off them, within ``ASSERT_TOL``; otherwise it is redrawn, up to
+    ``_MAX_FRAME_ATTEMPTS`` draws.  ``O(k d^3)``.  The span then lies in
+    ``⊕_J 1 (x) M_{d_J}``, and is all of it when ``sum d_J^2`` is its
+    dimension, which the caller checks.
+    """
+    basis_a = np.asarray(basis_a, dtype=complex)
+    if basis_a.shape[0] == 0:
+        raise DecompositionError("empty algebra basis; the rank tolerance leaves no span")
+    k = basis_a.shape[0]
+    for attempt in range(_MAX_FRAME_ATTEMPTS):
+        draw = gaussian_variates(4 * k, _FRAME_SEED.child(attempt))
+        y = np.tensordot(draw[:k] + 1j * draw[k : 2 * k], basis_a, axes=1)
+        z = np.tensordot(draw[2 * k : 3 * k] + 1j * draw[3 * k :], basis_a, axes=1)
+        found = _frame_from_draw(basis_a, (y + y.conj().T) / 2.0, z)
+        if found is not None:
+            return found
+    raise DecompositionError(
+        f"no block frame certified in {_MAX_FRAME_ATTEMPTS} draws; the span is not "
+        "closed under multiplication at tolerance"
+    )
 
 
 #: R-sized (16 d^4-byte) arrays at the peak of a build: the streamed R
@@ -552,8 +474,9 @@ def build_algebra(desc: AlgebraDescriptor, tol: float = RANK_TOL) -> OperatorAlg
 
     Generator descriptors go through full span closure; named kinds assemble
     their spanning sets analytically and skip the closure iteration.  The
-    commutant and the block decomposition are always computed numerically and
-    the structural invariants are verified before returning.  ``tol`` is the
+    block frame is drawn from the span (``_block_frame``), the commutant is
+    computed numerically, and ``sum d_J^2 = dim A``, ``sum n_J^2 = dim A'``
+    and the structural invariants are verified before returning.  ``tol`` is the
     relative rank threshold and must lie in (0, 1).  A dimension whose build
     would need more than ``MEMORY_BUDGET`` bytes (about ``224 d^4``) is
     refused with ``ShapeError`` before anything of that size is allocated.
@@ -561,15 +484,29 @@ def build_algebra(desc: AlgebraDescriptor, tol: float = RANK_TOL) -> OperatorAlg
     if not 0.0 < tol < 1.0:
         raise ShapeError(f"rank tolerance must be a finite number in (0, 1), got {tol!r}")
     basis_a = _named_generator_basis(desc, tol)
+    blocks, frame = _block_frame(basis_a)
     basis_ap = commutant(basis_a, tol)
-    blocks, projections = block_decomposition(basis_a, basis_ap, tol=tol)
+    if basis_ap.shape[0] == 0:
+        raise DecompositionError("empty commutant basis; the rank tolerance leaves no span")
+    if blocks.dim_a != basis_a.shape[0] or blocks.dim_aprime != basis_ap.shape[0]:
+        raise DecompositionError(
+            f"the block pattern {blocks.pairs} needs dim A = {blocks.dim_a} and "
+            f"dim A' = {blocks.dim_aprime}, but the spans have {basis_a.shape[0]} and "
+            f"{basis_ap.shape[0]} elements; the span is not closed under multiplication "
+            "at tolerance"
+        )
+    v = frame.unitary
+    starts = np.cumsum([0] + [n * dj for n, dj in blocks.pairs])
     alg = OperatorAlgebra(
         dim=basis_a.shape[-1],
         basis_a=basis_a,
         basis_aprime=basis_ap,
-        center_projections=projections,
+        center_projections=np.stack(
+            [v[:, a:b] @ v[:, a:b].conj().T for a, b in zip(starts[:-1], starts[1:])]
+        ),
         blocks=blocks,
     )
+    alg.__dict__["block_frame"] = frame  # seeds the cached property
     for arr in (alg.basis_a, alg.basis_aprime, alg.center_projections):
         arr.setflags(write=False)
     residuals = verification_residuals(alg)

@@ -39,7 +39,7 @@ from .dynamics import (
 )
 from .errors import DomainError, ScrambleError, ShapeError
 from .gaac import gaac
-from .haar import haar_average_analytic, haar_average_mc
+from .haar import concentration_scan, haar_average_analytic
 from .operator_space import RANK_TOL, RandomSeed, haar_unitary, matrix_from_json
 
 
@@ -156,23 +156,13 @@ def run_haar(args) -> int:
         raise ShapeError("haar requires --seed")
     if args.samples < 2:
         raise ShapeError(f"haar requires --samples >= 2, got {args.samples}")
-    lines = ["dim,d_Aprime,analytic,mc_mean,mc_std,samples,seed"]
-    for index, spec in enumerate(args.algebra):
-        alg = _load_algebra(spec, args.tol)
-        summary = haar_average_mc(alg, args.samples, RandomSeed(args.seed, index * args.samples))
-        lines.append(
-            ",".join(
-                [
-                    str(alg.dim),
-                    str(alg.dim_aprime),
-                    repr(summary.analytic_mean),
-                    repr(summary.mc_mean),
-                    repr(summary.mc_std),
-                    str(args.samples),
-                    str(args.seed),
-                ]
-            )
-        )
+    descriptors = (AlgebraDescriptor.from_json(_algebra_source(spec)) for spec in args.algebra)
+    rows = concentration_scan(descriptors, args.samples, RandomSeed(args.seed), args.tol)
+    lines = ["dim,d_Aprime,analytic,mc_mean,mc_std,samples,seed"] + [
+        f"{row.dim},{row.dim_aprime},{row.analytic!r},{row.mc_mean!r},{row.mc_std!r},"
+        f"{row.samples},{args.seed}"
+        for row in rows
+    ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

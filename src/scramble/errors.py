@@ -39,6 +39,3 @@ class DecompositionError(ScrambleError, RuntimeError):
 
     exit_code = 3
 
-
-class DegeneracyError(DecompositionError):
-    """Random witness sampling failed to separate structure after bounded retries."""

@@ -36,7 +36,6 @@ from .operator_space import (
     as_operator,
     hs_inner,
     is_unitary,
-    permute_factors,
     positive_int,
     swap_operator,
 )
@@ -171,16 +170,14 @@ def gaac(alg: OperatorAlgebra, u) -> GaacReport:
     )
 
 
-def bipartite_swap(dim_a: int, dim_b: int) -> np.ndarray:
-    """Swap of the two A factors inside ``(H_A (x) H_B)^(x2)``."""
-    da, db = int(dim_a), int(dim_b)
-    base = np.kron(swap_operator(da), np.eye(db * db))
-    # factor order of `base` is (A1, A2, B1, B2); interleave back to (A1, B1, A2, B2)
-    return permute_factors(base, [da, da, db, db], [0, 2, 1, 3])
-
-
 def closed_form(case: ClosedFormCase, u) -> float:
-    """Evaluate the closed formula for one of the five named situations."""
+    """Evaluate the closed formula for one of the five named situations.
+
+    The bipartite OTOC is the operator entanglement of ``U`` over ``A|B``:
+    ``1 - ||R R^dag||_F^2 / d^2`` with ``R`` the ``(d_A^2, d_B^2)`` realignment
+    of ``U``, its Gram formed on the smaller side.  It reads ``U`` directly,
+    with no algebra and no block frame.
+    """
     u = as_operator(u, "unitary")
     kind = case.case
     if kind == "bipartite_otoc":
@@ -188,9 +185,9 @@ def closed_form(case: ClosedFormCase, u) -> float:
         d = da * db
         if u.shape[0] != d:
             raise ShapeError(f"unitary dimension {u.shape[0]} != {da}x{db}")
-        s_aa = bipartite_swap(da, db)
-        doubled = np.kron(u, u)
-        return 1.0 - hs_inner(s_aa, doubled @ s_aa @ doubled.conj().T).real / d**2
+        r = u.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+        gram = r @ r.conj().T if da <= db else r.conj().T @ r
+        return 1.0 - float(np.sum(np.abs(gram) ** 2)) / d**2
     if kind == "cgp":
         d = int(case.params["dim"])
         if u.shape[0] != d:

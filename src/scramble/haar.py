@@ -11,7 +11,7 @@ import numpy as np
 from .algebra import AlgebraDescriptor, OperatorAlgebra, build_algebra
 from .errors import ValidationError
 from .gaac import _realigned_sums, upper_bound
-from .operator_space import CHUNK_ENTRIES, RandomSeed, haar_unitary
+from .operator_space import CHUNK_ENTRIES, RANK_TOL, RandomSeed, haar_unitary
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,17 @@ def concentration_scan(
     descriptors: Iterable[AlgebraDescriptor] | Sequence[AlgebraDescriptor],
     n: int,
     seed: RandomSeed,
+    tol: float = RANK_TOL,
 ) -> list[ScanRow]:
-    """Monte-Carlo mean, spread and bound gap across a family of algebras.
+    """Monte-Carlo mean, spread and bound gap across a family of algebras,
+    each built by ``build_algebra(desc, tol)``.
 
     Streams are partitioned so each algebra consumes a disjoint block of
     ``n`` sample indices.
     """
     rows = []
     for index, desc in enumerate(descriptors):
-        alg = build_algebra(desc)
+        alg = build_algebra(desc, tol)
         summary = haar_average_mc(alg, n, seed.child(index * n))
         rows.append(
             ScanRow(

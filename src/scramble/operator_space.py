@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -64,11 +64,6 @@ def is_unitary(a, tol: float = ASSERT_TOL) -> bool:
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(d))) <= tol)
 
 
-def is_projection(a, tol: float = ASSERT_TOL) -> bool:
-    a = as_operator(a)
-    return is_hermitian(a, tol) and bool(np.max(np.abs(a @ a - a)) <= tol)
-
-
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt scalar product ``Tr(A^dag B)``."""
     a = as_operator(a, "A")
@@ -81,11 +76,6 @@ def hs_inner(a, b) -> complex:
 def hs_norm(a) -> float:
     a = as_operator(a)
     return float(np.sqrt(np.vdot(a, a).real))
-
-
-def vec(a) -> np.ndarray:
-    """Column-stacking vectorization of a square matrix."""
-    return as_operator(a).reshape(-1, order="F")
 
 
 def group_by_gaps(values: np.ndarray, thresh: float) -> list[np.ndarray]:
@@ -238,24 +228,6 @@ def swap_operator(d: int) -> np.ndarray:
     if d < 1:
         raise ValidationError(f"local dimension must be >= 1, got {d}")
     return np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
-
-
-def permute_factors(x, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Operator ``x`` re-expressed after reordering tensor factors by ``perm``.
-
-    ``perm[i]`` names the original factor placed at position ``i``; the map is
-    the conjugation of ``x`` by the corresponding permutation of basis labels.
-    """
-    x = as_operator(x)
-    dims = [int(f) for f in dims]
-    n = len(dims)
-    if sorted(perm) != list(range(n)):
-        raise ShapeError(f"perm {perm} is not a permutation of {n} factors")
-    if int(np.prod(dims)) != x.shape[0]:
-        raise ShapeError("factor dims do not match operator dimension")
-    axes = list(perm) + [n + p for p in perm]
-    total = x.shape[0]
-    return x.reshape(dims + dims).transpose(axes).reshape(total, total)
 
 
 def is_finite_real(value) -> bool:

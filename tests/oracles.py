@@ -28,17 +28,21 @@ from scramble import (
     orthonormalize,
     project_onto,
     swap_operator,
-    vec,
 )
 from scramble.dynamics import RESONANCE_TOL
-from scramble.errors import DegeneracyError, DomainError, ShapeError
-from scramble.operator_space import as_operator, group_by_gaps
+from scramble.errors import DecompositionError, DomainError, ShapeError
+from scramble.operator_space import ASSERT_TOL, as_operator, group_by_gaps, is_hermitian
 
 #: Philox key of the block-frame draws; fixed so the rotation is reproducible.
 _ROTATION_KEY = np.array([0x5EEDB10C, 1000], dtype=np.uint64)
 
 
 # ---------------------------------------------------------------- operator space
+
+
+def vec(a) -> np.ndarray:
+    """Column-stacking vectorization of a square matrix."""
+    return as_operator(a).reshape(-1, order="F")
 
 
 def unvec(v, d: int) -> np.ndarray:
@@ -78,6 +82,37 @@ def partial_trace(x, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndar
     reduced = np.einsum(tensor, row + col, out)
     side = int(np.prod([dims[f] for f in kept]))
     return reduced.reshape(side, side)
+
+
+def is_projection(a, tol: float = ASSERT_TOL) -> bool:
+    a = as_operator(a)
+    return is_hermitian(a, tol) and bool(np.max(np.abs(a @ a - a)) <= tol)
+
+
+def permute_factors(x, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Operator ``x`` re-expressed after reordering tensor factors by ``perm``.
+
+    ``perm[i]`` names the original factor placed at position ``i``; the map is
+    the conjugation of ``x`` by the corresponding permutation of basis labels.
+    """
+    x = as_operator(x)
+    dims = [int(f) for f in dims]
+    n = len(dims)
+    if sorted(perm) != list(range(n)):
+        raise ShapeError(f"perm {perm} is not a permutation of {n} factors")
+    if int(np.prod(dims)) != x.shape[0]:
+        raise ShapeError("factor dims do not match operator dimension")
+    axes = list(perm) + [n + p for p in perm]
+    total = x.shape[0]
+    return x.reshape(dims + dims).transpose(axes).reshape(total, total)
+
+
+def bipartite_swap(dim_a: int, dim_b: int) -> np.ndarray:
+    """Swap of the two A factors inside ``(H_A (x) H_B)^(x2)``."""
+    da, db = int(dim_a), int(dim_b)
+    base = np.kron(swap_operator(da), np.eye(db * db))
+    # factor order of `base` is (A1, A2, B1, B2); interleave back to (A1, B1, A2, B2)
+    return permute_factors(base, [da, da, db, db], [0, 2, 1, 3])
 
 
 def channel_matrix(u) -> np.ndarray:
@@ -191,7 +226,7 @@ def _factorize_block(
         if np.max(np.abs(cols.conj().T @ cols - np.eye(size))) > 1e-8:
             continue
         return cols
-    raise DegeneracyError(f"failed to factorize a block of shape ({n}, {dj})")
+    raise DecompositionError(f"failed to factorize a block of shape ({n}, {dj})")
 
 
 def block_basis_rotation(alg) -> tuple[np.ndarray, list[slice]]:
@@ -263,6 +298,14 @@ def gaac_structure_oracle(alg, u) -> float:
     evolved = u @ basis @ u.conj().T
     overlaps = np.einsum("aij,bij->ab", basis.conj(), evolved)
     return 1.0 - float(np.sum(np.abs(overlaps) ** 2)) / alg.dim_aprime
+
+
+def bipartite_otoc_doubled(dim_a: int, dim_b: int, u) -> float:
+    """Averaged bipartite OTOC ``1 - <S_AA, (U (x) U) S_AA (U (x) U)^dag> / d^2``
+    in the doubled space."""
+    s_aa = bipartite_swap(dim_a, dim_b)
+    doubled = np.kron(u, u)
+    return 1.0 - hs_inner(s_aa, doubled @ s_aa @ doubled.conj().T).real / (dim_a * dim_b) ** 2
 
 
 def haar_twirl_oracle(alg) -> float:

@@ -10,7 +10,6 @@ from scramble import (
     ShapeError,
     ValidationError,
     algebra_closure,
-    block_decomposition,
     build_algebra,
     commutant,
     commutant_algebra,
@@ -21,9 +20,10 @@ from scramble import (
     swap_operator,
     verification_residuals,
 )
-from scramble.algebra import _named_generator_basis, _require_build_memory
+from scramble.algebra import _block_frame, _named_generator_basis, _require_build_memory
 from conftest import BUDGET_MESSAGE, planted_generators, traced_peak, unitary
 from oracles import (
+    bipartite_swap,
     block_basis_rotation,
     omega_operators,
     partial_trace,
@@ -164,8 +164,6 @@ def test_omega_masa_is_sum_of_projector_squares(masa2):
 
 
 def test_omega_factor_is_scaled_partial_swap(bipartite22):
-    from scramble import bipartite_swap
-
     pair = omega_operators(bipartite22)
     assert np.allclose(pair.omega, bipartite_swap(2, 2) / 2)
 
@@ -282,7 +280,7 @@ def test_block_ordering_and_fingerprint_stable():
     first = build_algebra(AlgebraDescriptor.group_z2(2))
     second = build_algebra(AlgebraDescriptor.group_z2(2))
     assert first.blocks == second.blocks
-    assert first.fingerprint() == second.fingerprint()
+    assert first.blocks.fingerprint() == second.blocks.fingerprint()
     assert np.array_equal(first.center_projections, second.center_projections)
 
 
@@ -395,12 +393,15 @@ def test_build_algebra_refuses_tolerance_outside_unit_interval(tol):
         build_algebra(AlgebraDescriptor.factor(2, 2), tol=tol)
 
 
-def test_block_decomposition_refuses_empty_basis():
-    basis = orthonormalize([np.eye(2, dtype=complex), SIGMA_Z])
-    empty = np.zeros((0, 2, 2), dtype=complex)
-    for pair in ((basis, empty), (empty, basis)):
-        with pytest.raises(DecompositionError):
-            block_decomposition(*pair)
+def test_block_frame_refuses_empty_basis():
+    with pytest.raises(DecompositionError, match="empty algebra basis"):
+        _block_frame(np.zeros((0, 2, 2), dtype=complex))
+
+
+def test_build_refuses_empty_commutant():
+    # a rank cut far below rounding keeps no commutator-map null vector
+    with pytest.raises(DecompositionError, match="empty commutant basis"):
+        build_algebra(AlgebraDescriptor.factor(2, 2), tol=1e-17)
 
 
 

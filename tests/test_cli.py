@@ -8,7 +8,6 @@ import pytest
 
 from scramble import (
     DecompositionError,
-    DegeneracyError,
     DomainError,
     ShapeError,
     UndefinedMetricError,
@@ -411,7 +410,7 @@ def test_gaac_hamiltonian_needs_time_before_reading_it(tmp_path, capsys, recwarn
 )
 def test_loose_tolerance_fails_as_non_algebra(capsys, algebra, tol):
     # the loose rank cut keeps spans that are not closed under multiplication,
-    # so the center witness splits into more groups than the center has elements
+    # so the block frame drawn from the span has more blocks than the span allows
     assert main(["inspect", "--algebra", algebra, "--tol", tol]) == 3
     err = capsys.readouterr().err
     assert "not closed under multiplication" in err
@@ -457,7 +456,6 @@ def test_format_option_is_gone(capsys, bell_file, command):
     [
         (ShapeError, 2),
         (DecompositionError, 3),
-        (DegeneracyError, 3),
         (ValidationError, 4),
         (DomainError, 5),
         (UndefinedMetricError, 5),

@@ -8,7 +8,6 @@ from scramble import (
     ClosedFormCase,
     ShapeError,
     ValidationError,
-    bipartite_swap,
     build_algebra,
     closed_form,
     commutant_algebra,
@@ -19,7 +18,13 @@ from scramble import (
     upper_bound,
 )
 from conftest import planted_generators, unitary
-from oracles import gaac_distance_oracle, gaac_omega_oracle, gaac_structure_oracle
+from oracles import (
+    bipartite_otoc_doubled,
+    bipartite_swap,
+    gaac_distance_oracle,
+    gaac_omega_oracle,
+    gaac_structure_oracle,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -198,6 +203,19 @@ def test_bipartite_swap_construction():
     expected[idx(0, 2, 1, 1)] = 1.0
     assert np.allclose(moved, expected)
     assert np.allclose(s_aa @ s_aa, np.eye(36))
+
+
+@pytest.mark.parametrize(
+    "da, db, draws",
+    [(2, 2, [(101, s) for s in range(20)]), (4, 4, [(116, 0), (116, 1)]),
+     (2, 8, [(216, 0)]), (8, 2, [(816, 0)]), (8, 4, [(832, 0)]), (4, 8, [(432, 0)])],
+)
+def test_bipartite_closed_form_matches_doubled_space(da, db, draws):
+    # criterion 1's draws at (2, 2), then d = 16 and 32 with either side smaller
+    case = ClosedFormCase.bipartite_otoc(da, db)
+    for seed, stream in draws:
+        u = unitary(da * db, seed, stream)
+        assert abs(closed_form(case, u) - bipartite_otoc_doubled(da, db, u)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [2.5, 0, -3, True, "3", None], ids=repr)

@@ -1,8 +1,8 @@
 """Property tests of the block-frame GAAC on planted block patterns (d <= 12).
 
 Each algebra is assembled by hand from a random pattern ``{(n_J, d_J)}`` in a
-Haar-random frame, so its block frame is derived from the bases and the
-center projections alone, as for any hand-assembled ``OperatorAlgebra``.
+Haar-random frame, so its block frame is derived from its algebra basis
+alone, as for any hand-assembled ``OperatorAlgebra``.
 """
 
 from __future__ import annotations

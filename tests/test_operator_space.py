@@ -11,17 +11,14 @@ from scramble import (
     hs_inner,
     hs_norm,
     is_hermitian,
-    is_projection,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
     nullspace,
     orthonormalize,
-    permute_factors,
     swap_operator,
-    vec,
 )
-from oracles import partial_trace, unvec
+from oracles import is_projection, partial_trace, permute_factors, unvec, vec
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
