@@ -351,10 +351,10 @@ def _frame_from_draw(basis_a: np.ndarray, y: np.ndarray, z: np.ndarray):
     linked = weight + weight.T > (1e-6 * np.linalg.norm(z)) ** 2
     np.fill_diagonal(linked, True)
     for _ in range(sizes.size.bit_length()):  # until linked holds every chain
-        linked = linked.astype(float) @ linked > 0
+        linked = linked @ linked
     label = np.argmax(linked, axis=1)  # the lowest level of each level's block
     blocks = []
-    for root in np.unique(label):
+    for root in np.flatnonzero(label == np.arange(sizes.size)):
         members = np.flatnonzero(label == root)
         n, dj = int(sizes[root]), members.size
         if np.any(sizes[members] != n):
