@@ -484,8 +484,8 @@ def build_algebra(desc: AlgebraDescriptor, tol: float = RANK_TOL) -> OperatorAlg
     if not 0.0 < tol < 1.0:
         raise ShapeError(f"rank tolerance must be a finite number in (0, 1), got {tol!r}")
     basis_a = _named_generator_basis(desc, tol)
-    blocks, frame = _block_frame(basis_a)
     basis_ap = commutant(basis_a, tol)
+    blocks, frame = _block_frame(basis_a)
     if basis_ap.shape[0] == 0:
         raise DecompositionError("empty commutant basis; the rank tolerance leaves no span")
     if blocks.dim_a != basis_a.shape[0] or blocks.dim_aprime != basis_ap.shape[0]:
