@@ -286,5 +286,7 @@ def test_package_ships_no_oracles():
     for module in modules:
         assert not [name for name in dir(module) if "oracle" in name.lower()], module
     for name in ("SUPERPROJECTOR_CAP", "ResourceError", "superprojector_matrix",
-                 "omega_operators", "structure_basis"):
+                 "omega_operators", "structure_basis", "vec", "is_projection",
+                 "permute_factors", "bipartite_swap", "block_decomposition",
+                 "DegeneracyError"):
         assert not hasattr(scramble, name), name
