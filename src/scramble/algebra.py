@@ -19,7 +19,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .operator_space import (
     require_memory,
     swap_operator,
     _row_basis,
-    _stack_vecs,
     _streamed_r,
     _unstack_vecs,
 )
@@ -232,7 +231,10 @@ def algebra_closure(generators: Sequence, tol: float = RANK_TOL) -> np.ndarray:
     products, in chunks ``basis[s:s+step] x basis`` of about ``CHUNK_ENTRIES``
     entries, into a streamed R factor of at most ``d^2`` rows, and takes the
     new basis from one SVD of R with the ``tol * sigma_max`` cut of
-    ``orthonormalize``: ``O(k^2 d^4)`` time and ``O(d^4)`` memory per round.
+    ``orthonormalize``: ``O(k^2 d^4)`` time per round.  The memory is
+    ``O(d^4)``: R plus one chunk in the fold buffer of ``_streamed_r``, the
+    QR's two internal copies of them, and one chunk of products before it is
+    written into the buffer.
     """
     mats = [as_operator(g, "generator") for g in generators]
     if not mats:
@@ -246,15 +248,44 @@ def algebra_closure(generators: Sequence, tol: float = RANK_TOL) -> np.ndarray:
     while True:
         k = basis.shape[0]
         step = max(1, CHUNK_ENTRIES // (k * d * d))
-        products = (
-            _stack_vecs((basis[s : s + step, None] @ basis).reshape(-1, d, d))
-            for s in range(0, k, step)
-        )
-        r = _streamed_r(chain([_stack_vecs(basis)], products), d * d)
-        grown = _row_basis(r, d, tol)
+        blocks = [(k, functools.partial(_write_vecs, basis))] + [
+            (len(chunk) * k, functools.partial(_write_products, chunk, basis))
+            for chunk in (basis[s : s + step] for s in range(0, k, step))
+        ]
+        grown = _row_basis(_streamed_r(blocks, d * d), d, tol)
         if grown.shape[0] == k:
             return grown
         basis = grown
+
+
+def _write_vecs(mats: np.ndarray, out: np.ndarray) -> None:
+    """Write the column-stacked vectors of ``mats`` as the rows of ``out``."""
+    np.copyto(_unstack_vecs(out, mats.shape[-1]), mats)
+
+
+def _write_products(chunk: np.ndarray, basis: np.ndarray, out: np.ndarray) -> None:
+    """Write the vector of ``chunk[i] @ basis[j]`` as row ``i * len(basis) + j``."""
+    _write_vecs((chunk[:, None] @ basis).reshape(-1, *basis.shape[1:]), out)
+
+
+def _write_commutator_maps(chunk: np.ndarray, out: np.ndarray) -> None:
+    """Write the map ``X -> [X, b]``, ``kron(b.T, 1) - kron(1, b)``, of each
+    ``b`` in ``chunk`` into consecutive ``(d^2, d^2)`` row blocks of ``out``.
+
+    The entries are those of ``np.kron``, signed zeros included, so the fold
+    sees the same matrix bit for bit, but no ``d^4`` temporary is formed: in
+    ``out[i, k, j, l]`` (row ``i d + k``, column ``j d + l``) the second term
+    is ``1[i, j] b[k, l]``, that is ``0 * b`` off the diagonal blocks ``i = j``
+    and ``1 * b`` on them.
+    """
+    d = chunk.shape[-1]
+    eye = np.eye(d)
+    on_diagonal = np.eye(d, dtype=bool)[:, None, :, None]
+    off_diagonal = ~on_diagonal
+    for b, m in zip(chunk, out.reshape(-1, d, d, d, d)):
+        np.multiply(b.T[:, None, :, None], eye[None, :, None, :], out=m)
+        np.subtract(m, np.multiply(0.0, b)[None, :, None, :], out=m, where=off_diagonal)
+        np.subtract(m, np.multiply(1.0, b)[None, :, None, :], out=m, where=on_diagonal)
 
 
 def commutant(alg_basis, tol: float = RANK_TOL) -> np.ndarray:
@@ -263,25 +294,26 @@ def commutant(alg_basis, tol: float = RANK_TOL) -> np.ndarray:
     The joint nullspace of the vectorized commutator maps ``X -> [X, b]``;
     in the column-stacking convention the map for ``b`` is
     ``kron(b.T, 1) - kron(1, b)``.  The ``k`` maps of ``d^2`` rows each are
-    folded a few at a time (about ``CHUNK_ENTRIES`` entries per block) into a
-    streamed ``(d^2, d^2)`` R factor, which has the singular values and right
-    singular vectors of their ``(k d^2, d^2)`` stack; the stack is never
-    formed.  ``O(k d^6)`` time and ``16 d^4`` bytes for R.
+    written a few at a time (about ``CHUNK_ENTRIES`` entries per block)
+    straight into the fold buffer of a streamed ``(d^2, d^2)`` R factor,
+    which has the singular values and right singular vectors of their
+    ``(k d^2, d^2)`` stack; the stack is never formed.  ``O(k d^6)`` time;
+    the working set is R plus one block of maps and the QR's two internal
+    copies of them, then the SVD of the compact R.
     """
     basis = np.asarray(alg_basis, dtype=complex)
     if basis.ndim != 3 or basis.shape[0] == 0:
         raise ShapeError("commutant needs a nonempty basis of square matrices")
     d = basis.shape[-1]
-    eye = np.eye(d)
     step = max(1, CHUNK_ENTRIES // d**4)
-    maps = (
-        np.concatenate([np.kron(b.T, eye) - np.kron(eye, b) for b in basis[s : s + step]])
-        for s in range(0, basis.shape[0], step)
-    )
+    blocks = [
+        (len(chunk) * d * d, functools.partial(_write_commutator_maps, chunk))
+        for chunk in (basis[s : s + step] for s in range(0, basis.shape[0], step))
+    ]
     # basis elements are unit norm, so the maps either vanish (everything
     # commutes) or have O(1) leading singular value; the floor keeps a
     # noise-level R from masquerading as a proper commutator map
-    cols = nullspace(_streamed_r(maps, d * d), tol, scale_floor=1.0)
+    cols = nullspace(_streamed_r(blocks, d * d), tol, scale_floor=1.0)
     return _unstack_vecs(cols.T, d)
 
 
@@ -411,10 +443,12 @@ def _block_frame(basis_a) -> tuple[BlockStructure, BlockFrame]:
     )
 
 
-#: R-sized (16 d^4-byte) arrays at the peak of a build: the streamed R
-#: factor, one block of commutator maps, their concatenation and the QR's
-#: copies, then the SVD of R with its factors and work space.  The peak RSS
-#: of ``diagonal(24)`` and ``diagonal(30)`` builds was 13.6 and 14.2 of them.
+#: R-sized (16 d^4-byte) arrays at the peak of a build: the fold buffer of
+#: R and one block of commutator maps with the QR's copies of it, then the
+#: SVD of R with its factors and work space.  The peak RSS of
+#: ``diagonal(24)`` and ``diagonal(30)`` builds was 7.6 and 7.3 of them (one
+#: BLAS thread); 14, the count before the fold buffer, is kept as a
+#: conservative bound, so the refused dimensions stay where they were.
 _BUILD_ARRAYS = 14
 
 

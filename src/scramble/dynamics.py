@@ -195,8 +195,13 @@ def _grid_values(
     eigenframe, flattened."""
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValidationError(f"horizon must be finite and positive, got {horizon}")
-    if not (points >= 1 and float(points).is_integer()):
+    # an int can exceed the float range, so only non-ints go through float()
+    if not (
+        points >= 1 and (isinstance(points, (int, np.integer)) or float(points).is_integer())
+    ):
         raise ValidationError(f"point count must be an integer >= 1, got {points}")
+    # the times, the quadratic forms and the returned values
+    require_memory(24 * int(points), f"a time grid of {int(points):,} points")
     m = _basis_in_eigenframe(alg.basis_aprime, model).reshape(alg.dim_aprime, -1)
     kernel = np.abs(m.conj().T @ m) ** 2 / alg.dim_aprime
     times = horizon * np.arange(1, points + 1) / points

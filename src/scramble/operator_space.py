@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,19 +96,31 @@ def _unstack_vecs(flat: np.ndarray, d: int) -> np.ndarray:
     return flat.reshape(-1, d, d).transpose(0, 2, 1)
 
 
-def _streamed_r(blocks: Iterable[np.ndarray], ncols: int) -> np.ndarray:
-    """Triangular factor ``R`` of the row stack of ``blocks`` (each of shape
-    ``(rows, ncols)``), folded in one block at a time.
+def _streamed_r(
+    blocks: Sequence[tuple[int, Callable[[np.ndarray], None]]], ncols: int
+) -> np.ndarray:
+    """Triangular factor ``R`` of a row stack, folded in one block at a time.
 
-    Sequential TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput.
-    34, 2012): ``R`` has the singular values and right singular vectors of
-    the whole stack, but at most ``ncols`` rows, so only ``R`` and one block
-    are ever held.  Callers size their blocks to about ``CHUNK_ENTRIES``.
+    Each block is a pair ``(rows, fill)``; ``fill(out)`` writes the block
+    into ``out`` of shape ``(rows, ncols)``.  Sequential TSQR (Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012): ``R`` has the
+    singular values and right singular vectors of the whole stack, but at
+    most ``ncols`` rows.  One buffer ``[R; block]``, sized for the largest
+    block, serves every fold: the block is written below ``R``, the pair is
+    QR-factored and the new ``R`` is written back over the old one, so the
+    working set is that buffer, the QR's two internal copies of the pair
+    (numpy's and LAPACK's) and the new ``R``.  Callers size their blocks to
+    about ``CHUNK_ENTRIES``; the result is a compact copy of ``R``, so the
+    buffer is freed before the caller's SVD.
     """
-    r = np.zeros((0, ncols), dtype=complex)
-    for block in blocks:
-        r = np.linalg.qr(np.concatenate([r, block]), mode="r")
-    return r
+    buf = np.empty((ncols + max(rows for rows, _ in blocks), ncols), dtype=complex)
+    held = 0
+    for rows, fill in blocks:
+        fill(buf[held : held + rows])
+        stacked = held + rows
+        held = min(stacked, ncols)
+        buf[:held] = np.linalg.qr(buf[:stacked], mode="r")
+    return buf[:held].copy()
 
 
 def _row_basis(rows: np.ndarray, d: int, tol: float) -> np.ndarray:

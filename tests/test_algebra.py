@@ -414,6 +414,20 @@ def test_commutant_streams_its_maps():
     assert peak[0] < 32 * 2**20
 
 
+@pytest.mark.parametrize(
+    "desc, bound_mib",
+    [(AlgebraDescriptor.diagonal(16), 14), (AlgebraDescriptor.factor(2, 10), 15)],
+    ids=["diagonal_16", "factor_2x10"],
+)
+def test_commutant_folds_in_one_buffer(desc, bound_mib):
+    # R (1 or 2.4 MiB) and one block of maps (4 or 2.4 MiB) fill the fold
+    # buffer; the QR's copy of it and its new R come on top, nothing else
+    basis = _named_generator_basis(desc, RANK_TOL)
+    with traced_peak() as peak:
+        commutant(basis)
+    assert peak[0] < bound_mib * 2**20
+
+
 def test_closure_streams_its_products():
     # one round's (k^2, d^2) product stack at k = d^2 = 144 would take 48 MB
     rng = np.random.default_rng(1212)

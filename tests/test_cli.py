@@ -344,7 +344,16 @@ def test_gue_shorthand_parameters_are_input_errors(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize(
-    "grid", [("-1", "10"), ("0", "10"), ("inf", "10"), ("nan", "10"), ("10", "0.5"), ("10", "0")]
+    "grid",
+    [
+        ("-1", "10"),
+        ("0", "10"),
+        ("inf", "10"),
+        ("nan", "10"),
+        ("10", "0.5"),
+        ("10", "0"),
+        ("10", "1e15"),
+    ],
 )
 def test_time_average_grid_arguments_checked(bell_file, grid):
     argv = ["time-average", "--algebra", "bipartite_2x2", "--hamiltonian", bell_file]

@@ -103,6 +103,21 @@ def test_oversized_gue_refused_before_drawing(refused):
     assert peak[0] < 2**20
 
 
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda alg, model: grid_time_average(alg, model, 10.0, 10**15),
+        lambda alg, model: fluctuation_scan(alg, model, [0.1], horizon=10.0, points=10**15),
+        lambda alg, model: grid_time_average(alg, model, 10.0, 10**400),
+    ],
+    ids=["grid", "scan", "beyond_float"],
+)
+def test_oversized_grid_refused_before_allocating(bipartite22, bell_model, refused):
+    with traced_peak() as peak, pytest.raises(ShapeError, match=BUDGET_MESSAGE):
+        refused(bipartite22, bell_model)
+    assert peak[0] < 2**20
+
+
 def test_spectral_memory_budget_admits_dimension_64():
     _require_spectral_memory(64)
     with pytest.raises(ShapeError, match=BUDGET_MESSAGE):
